@@ -34,7 +34,7 @@ import numpy as np
 from _bench_common import timeit, write_json_report
 
 from repro.baselines.base import BatchedLocalizer
-from repro.baselines.registry import make_localizer
+from repro.baselines.registry import build_localizer
 from repro.datasets import SuiteConfig, generate_path_suite
 from repro.eval import ParallelRunner, available_cpus, compare_frameworks
 
@@ -55,7 +55,7 @@ def bench_batched_predict(
     print(f"{'framework':<12} {'batched':>10} {'per-row':>10} {'speedup':>9}  identical")
     ok = True
     for name in frameworks:
-        localizer = make_localizer(name, suite_name=suite.name, fast=fast)
+        localizer = build_localizer(name, suite_name=suite.name, fast=fast)
         if not isinstance(localizer, BatchedLocalizer):
             print(f"{name:<12} {'—':>10} {'—':>10} {'—':>9}  (sequential decoder)")
             continue

@@ -50,7 +50,7 @@ from _bench_common import write_json_report
 
 from repro.api import FleetSpec
 from repro.eval.metrics import localization_errors
-from repro.fleet.dispatch import FleetDispatcher
+from repro.fleet.frontend import FleetDispatcher
 from repro.fleet.experiment import fleet_epoch_traffic
 from repro.live import LiveManager
 from repro.obs import MetricsRegistry

@@ -37,10 +37,8 @@ Quickstart::
     with LocalizationSession.local(spec, suite) as session:
         print(session.localize(suite.test_epochs[0].rssi[0]))
 
-Legacy entry points (``repro.baselines.make_localizer``, raw version-
-less HTTP payloads) keep working for one release behind
-``DeprecationWarning`` shims; see ``docs/api.md`` for the migration
-table.
+See ``docs/api.md`` for the migration table from the retired legacy
+entry points.
 """
 
 from ..serve.protocol import API_VERSION

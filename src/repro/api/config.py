@@ -7,8 +7,8 @@ and a canonical :meth:`fingerprint`:
 * :class:`IndexSpec` — how a reference radio map is sharded and probed
   (the public face of :class:`repro.index.IndexConfig`).
 * :class:`LocalizerSpec` — one framework + its training configuration.
-  :meth:`LocalizerSpec.build` replaces the deprecated
-  ``make_localizer``; :meth:`LocalizerSpec.model_key` produces the
+  :meth:`LocalizerSpec.build` is the public constructor;
+  :meth:`LocalizerSpec.model_key` produces the
   *exact* content-addressed :class:`~repro.serve.store.ModelKey` the
   serving layer's ``ModelStore`` has always used, so artifacts fitted
   before this API existed keep warm-loading.
@@ -208,9 +208,10 @@ class LocalizerSpec:
     def build(self) -> Localizer:
         """Build the (unfitted) localizer this spec describes.
 
-        Bit-identical to what the deprecated ``make_localizer`` builds
-        for the same arguments (both delegate to the same registry
-        kernel) — pinned by ``tests/api/test_shims.py``.
+        Bit-identical to what
+        :func:`~repro.baselines.registry.build_localizer` builds for the
+        same arguments (the registry kernel it delegates to) — pinned
+        by ``tests/api/test_shims.py``.
         """
         return build_localizer(
             self.framework,
@@ -551,7 +552,7 @@ class FleetSpec:
         otherwise :meth:`build_registry` runs first. The live-update
         loop behind ``POST /observe`` runs the spec's drift policy.
         """
-        from ..fleet.dispatch import FleetDispatcher
+        from ..fleet.frontend import FleetDispatcher
         from ..fleet.server import FleetServer
         from ..live import LiveManager
 

@@ -19,7 +19,6 @@ from .registry import (
     build_localizer,
     framework_capabilities,
     framework_class,
-    make_localizer,
     supports_candidate_index,
     supports_kernel_backend,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "WiDeepConfig",
     "PseudoLabelEnsembleLocalizer",
     "EnsembleConfig",
-    "make_localizer",
     "build_localizer",
     "framework_capabilities",
     "framework_class",

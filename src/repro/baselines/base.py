@@ -86,17 +86,6 @@ class Localizer(ABC):
 
     # -- index introspection -------------------------------------------------
 
-    def shard_routes(self, rssi: np.ndarray) -> np.ndarray | None:
-        """Primary probed shard id per scan, or ``None``.
-
-        ``None`` means the framework has no sharded radio-map index (no
-        index configured, exhaustive config, or ``supports_index`` is
-        False) — the serving dispatcher then skips shard-aware request
-        grouping. Index-capable subclasses override this.
-        """
-        del rssi
-        return None
-
     def index_describe(self) -> dict | None:
         """JSON-ready shard statistics of the fitted index, or ``None``."""
         return None

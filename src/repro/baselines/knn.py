@@ -97,19 +97,6 @@ class KNNLocalizer(BatchedLocalizer):
 
         return resolve_backend_name(self.backend)
 
-    @property
-    def has_sharded_index(self) -> bool:
-        """True when the fitted head routes queries through shards."""
-        return self._head is not None and self._head.has_sharded_index
-
-    def shard_routes(self, rssi: np.ndarray) -> np.ndarray | None:
-        """Primary probed shard per scan (None without a sharded index)."""
-        self._check_fitted()
-        if not self.has_sharded_index:
-            return None
-        rssi = self._check_rssi(rssi, self._train_rssi.shape[1])
-        return self._head.shard_routes(np.clip(rssi, -100.0, 0.0))
-
     def index_describe(self) -> dict | None:
         """Shard statistics of the fitted radio-map index."""
         return self._head.index_describe() if self._head else None

@@ -218,19 +218,6 @@ class LTKNNLocalizer(BatchedLocalizer):
             return np.empty((0, 2), dtype=np.float64)
         return self._knn.predict(self.impute(rssi))
 
-    def shard_routes(self, rssi: np.ndarray) -> np.ndarray | None:
-        """Shard routing over the *imputed* scans (what KNN will match).
-
-        Bails out before imputing when the inner KNN has no sharded
-        index — otherwise every coalesced serving batch would pay a
-        full ridge-imputation pass just to learn that routing is off.
-        """
-        self._check_fitted()
-        if not self._knn.has_sharded_index:
-            return None
-        rssi = self._check_rssi(rssi, self._train.n_aps)
-        return self._knn.shard_routes(self.impute(rssi))
-
     def index_describe(self) -> dict | None:
         """Shard statistics of the inner KNN's radio-map index."""
         return self._knn.index_describe() if self._knn else None

@@ -7,7 +7,6 @@ set compared in every figure matches the paper's five: STONE plus KNN
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -127,35 +126,6 @@ def supports_batched_inference(name: str) -> bool:
     )
 
 
-def make_localizer(
-    name: str,
-    *,
-    suite_name: str | None = None,
-    fast: bool = False,
-    index: IndexConfig | None = None,
-) -> Localizer:
-    """Build a framework by its paper name (deprecated entry point).
-
-    .. deprecated::
-        Construct through the typed public surface instead::
-
-            from repro.api import LocalizerSpec
-            LocalizerSpec(framework=name, suite_name=..., fast=...).build()
-
-        ``make_localizer`` remains a thin shim over the same builder
-        (:func:`build_localizer`) and returns bit-identical models; it
-        emits :class:`DeprecationWarning` and will be removed after one
-        release.
-    """
-    warnings.warn(
-        "make_localizer() is deprecated; build through "
-        "repro.api.LocalizerSpec(...).build() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_localizer(name, suite_name=suite_name, fast=fast, index=index)
-
-
 def build_localizer(
     name: str,
     *,
@@ -167,8 +137,7 @@ def build_localizer(
     """Build a framework by its paper name.
 
     The construction kernel behind :meth:`repro.api.LocalizerSpec.build`
-    (the public entry point) and the deprecated :func:`make_localizer`
-    shim. ``suite_name`` selects STONE's per-floorplan tuning.
+    (the public entry point). ``suite_name`` selects STONE's per-floorplan tuning.
     ``fast=True`` shrinks the trained models' schedules for CI-scale
     runs (tests and smoke benches); figure-quality runs leave it False.
     ``index`` shards the framework's reference radio map

@@ -709,7 +709,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             seed=args.seed,
             chaos=chaos,
         )
-        from .fleet.dispatch import FleetDispatcher
+        from .fleet.frontend import FleetDispatcher
         from .obs import MetricsRegistry
 
         # Own the dispatcher so its bound metrics registry survives the

@@ -268,27 +268,6 @@ class KNNHead:
         """The fitted :class:`~repro.index.CandidateIndex` (None pre-fit)."""
         return self._index
 
-    @property
-    def has_sharded_index(self) -> bool:
-        """True when queries are routed through a sharded index.
-
-        Cheap capability probe — callers that must do work *before*
-        routing (LT-KNN imputes scans first) check this to skip that
-        work entirely when routing would return ``None`` anyway.
-        """
-        return not isinstance(self._index, (type(None), ExhaustiveIndex))
-
-    def shard_routes(self, queries: np.ndarray) -> np.ndarray | None:
-        """Primary (nearest-centroid) shard id per query, or ``None``.
-
-        ``None`` when the head has no sharded index — callers use this
-        to decide whether shard-aware request grouping is meaningful.
-        """
-        if not self.has_sharded_index:
-            return None
-        q = self._as_queries(queries)
-        return self._index.primary_shard(q)
-
     def index_describe(self) -> dict | None:
         """JSON-ready shard statistics, or ``None`` without an index."""
         if self._index is None:

@@ -209,14 +209,7 @@ class StoneLocalizer(BatchedLocalizer):
     # -- index introspection ----------------------------------------------
 
     def index_describe(self) -> dict | None:
-        """Shard statistics of the embedding-space radio-map index.
-
-        STONE intentionally does *not* implement :meth:`shard_routes`:
-        routing a query to its probed shard requires the full encoder
-        forward pass — the dominant inference cost — so dispatcher-level
-        shard grouping would double the encode work for no savings. The
-        KNN head still groups embedded queries by probe set internally.
-        """
+        """Shard statistics of the embedding-space radio-map index."""
         return self.knn.index_describe()
 
     @property

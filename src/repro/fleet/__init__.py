@@ -15,11 +15,12 @@ then floor classifier, then the slot's model:
   slot-grouped batch inference, bit-identical to direct slot queries.
 * :class:`FleetDispatcher` (``frontend.py``) — the admission/routing
   front-end: per-slot micro-batching behind one asyncio loop with
-  bounded admission (429 on overload), over a pluggable slot executor.
+  bounded admission (429 on overload), computing in-process or in
+  worker processes.
 * :class:`WorkerPool` (``worker.py``) + :class:`SlotPlacement`
-  (``placement.py``) — the multi-process executor: N worker processes
-  own slots by consistent hash and map the radio maps zero-copy from
-  shared memory (``repro serve --workers N``).
+  (``placement.py``) — processes, placement and IPC for multi-process
+  fleets: N worker processes own slots by consistent hash and map the
+  radio maps zero-copy from shared memory (``repro serve --workers N``).
 * :func:`run_fleet_experiment` (``experiment.py``) — routing accuracy
   and routed-vs-oracle error across the longitudinal epochs.
 * :class:`FleetServer` (``server.py``) — the HTTP/JSON front-end
@@ -38,7 +39,6 @@ from .frontend import (
     FleetDispatcher,
     FleetOverloadError,
     FleetStats,
-    LocalSlotExecutor,
     SlotCounters,
 )
 from .placement import PlacementMove, SlotPlacement
@@ -59,7 +59,6 @@ __all__ = [
     "FleetServer",
     "FleetSlot",
     "FleetStats",
-    "LocalSlotExecutor",
     "PlacementMove",
     "RoutingDecision",
     "ScanRouter",

@@ -1,25 +1,25 @@
-"""Fleet admission/routing front-end over a pluggable slot executor.
+"""Fleet admission/routing front-end over per-slot dispatchers.
 
 One asyncio event loop fronts the whole fleet: every request is
 **admitted** (bounded queue, atomic check+reserve), **routed**
 (hierarchical building/floor classification off the loop) and then its
-row groups are **executed** per slot. Execution is a seam with two
-implementations:
+row groups are **coalesced** per slot by one
+:class:`~repro.serve.dispatcher.BatchingDispatcher` each. The two
+execution modes differ only in the dispatchers' compute callable:
 
-* :class:`LocalSlotExecutor` (``workers=0``, the default) — one
-  :class:`~repro.serve.dispatcher.BatchingDispatcher` per slot inside
-  this process; exactly the single-process dispatcher this front-end
-  was split out of.
-* :class:`~repro.fleet.worker.WorkerPool` (``workers>=1``) — N worker
-  processes owning slots by consistent hash, radio maps mapped from
+* ``workers=0`` (the default) — each dispatcher runs its slot's model
+  on its own inference thread inside this process.
+* ``workers>=1`` — each flush is one pipe round trip
+  (:meth:`~repro.fleet.worker.WorkerPool.predict`) to the worker
+  process owning the slot by consistent hash, radio maps mapped from
   shared memory so replicas cost no extra RAM.
 
-Every contract is executor-independent and pinned by the same tests
+Every contract is mode-independent and pinned by the same tests
 against both: bounded admission with atomic 429s happens *here*, before
-anything is enqueued anywhere; answers are bit-identical across
-executors (``predict_batched`` is row-independent and the model state
-is byte-for-byte the same); ``pending_rows`` counts rows admitted but
-not yet answered, whichever process computes them.
+anything is enqueued anywhere; answers are bit-identical across modes
+(``predict_batched`` is row-independent and the model state is
+byte-for-byte the same); ``pending_rows`` counts rows admitted but not
+yet answered, whichever process computes them.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -93,91 +94,6 @@ class FleetStats:
         }
 
 
-class LocalSlotExecutor:
-    """In-process slot execution: one BatchingDispatcher per slot."""
-
-    def __init__(
-        self,
-        registry: FleetRegistry,
-        *,
-        batch_window_ms: float = 2.0,
-        max_batch: int = 256,
-        chunk_size: int | None = None,
-    ) -> None:
-        # Kept for hot-swap: a replacement dispatcher must be built with
-        # the same micro-batching knobs and bound to the same registry.
-        self._batch_window_ms = batch_window_ms
-        self._max_batch = max_batch
-        self._chunk_size = chunk_size
-        self._metrics: MetricsRegistry | None = None
-        self._dispatchers: dict[str, BatchingDispatcher] = {}
-        for slot in registry.slots():
-            self._dispatchers[slot.slot.label] = BatchingDispatcher(
-                slot.entry.localizer,
-                batch_window_ms=batch_window_ms,
-                max_batch=max_batch,
-                chunk_size=chunk_size,
-            )
-
-    async def submit(
-        self, label: str, scans: np.ndarray, *, trace: Trace | None = None
-    ) -> np.ndarray:
-        while True:
-            dispatcher = self._dispatchers[label]
-            try:
-                return await dispatcher.localize(scans, trace=trace)
-            except RuntimeError:
-                # A swap can close the dispatcher between our lookup and
-                # the enqueue; if the slot has already been rebound,
-                # retry on the replacement — the request is never
-                # dropped. Any other RuntimeError propagates.
-                if self._dispatchers.get(label) is dispatcher:
-                    raise
-
-    async def swap(self, label: str, localizer) -> None:
-        """Atomically point a slot at a new fitted localizer.
-
-        The replacement dispatcher is built warm (the localizer is
-        already fitted), metrics-bound, and installed in one loop-tick
-        assignment — new arrivals see only one version or the other,
-        never a mix. The old dispatcher then drains (every enqueued and
-        in-flight request completes on the old model) before closing.
-        """
-        if label not in self._dispatchers:
-            raise KeyError(f"unknown slot {label!r}")
-        replacement = BatchingDispatcher(
-            localizer,
-            batch_window_ms=self._batch_window_ms,
-            max_batch=self._max_batch,
-            chunk_size=self._chunk_size,
-        )
-        if self._metrics is not None:
-            replacement.bind_metrics(self._metrics, label)
-        old = self._dispatchers[label]
-        # Single assignment on the event-loop thread = the atomic flip.
-        self._dispatchers[label] = replacement
-        await old.drain()
-        old.close()
-
-    def bind_metrics(self, registry: MetricsRegistry) -> None:
-        self._metrics = registry
-        for label, dispatcher in self._dispatchers.items():
-            dispatcher.bind_metrics(registry, label)
-
-    def close(self) -> None:
-        for dispatcher in self._dispatchers.values():
-            dispatcher.close()
-
-    def slot_stats(self) -> dict:
-        return {
-            label: dispatcher.stats.as_dict()
-            for label, dispatcher in self._dispatchers.items()
-        }
-
-    def describe(self) -> dict:
-        return {"mode": "in-process"}
-
-
 class FleetDispatcher:
     """Admit, route and execute fleet requests behind one loop.
 
@@ -186,13 +102,13 @@ class FleetDispatcher:
     registry:
         The fitted fleet.
     batch_window_ms / max_batch / chunk_size:
-        Micro-batching knobs, forwarded to the slot executor.
+        Micro-batching knobs, forwarded to every slot's dispatcher.
     max_pending_rows:
         Fleet-wide bound on rows admitted but not yet answered; the
         backpressure knob (``repro serve --max-pending-rows``).
     workers:
-        ``0`` serves in-process (:class:`LocalSlotExecutor`); ``>= 1``
-        spawns that many worker processes
+        ``0`` computes in-process; ``>= 1`` spawns that many worker
+        processes
         (:class:`~repro.fleet.worker.WorkerPool`) sharing the radio
         maps through shared memory (``repro serve --workers``).
     start_method:
@@ -224,25 +140,32 @@ class FleetDispatcher:
                 slot.slot.label: SlotCounters() for slot in registry.slots()
             }
         )
-        if workers == 0:
-            self._executor = LocalSlotExecutor(
-                registry,
-                batch_window_ms=batch_window_ms,
-                max_batch=max_batch,
-                chunk_size=chunk_size,
-            )
-        else:
-            self._executor = WorkerPool(
+        self._batch_window_ms = batch_window_ms
+        self._max_batch = max_batch
+        self._chunk_size = chunk_size
+        self._pool = (
+            WorkerPool(
                 registry,
                 workers=workers,
-                batch_window_ms=batch_window_ms,
-                max_batch=max_batch,
                 chunk_size=chunk_size,
                 start_method=start_method,
             )
+            if workers
+            else None
+        )
+        self._metrics: MetricsRegistry | None = None
+        try:
+            self._dispatchers = {
+                slot.slot.label: self._dispatcher(slot.slot.label, slot.entry.localizer)
+                for slot in registry.slots()
+            }
+        except BaseException:
+            # Invalid micro-batching knobs: release the spawned workers.
+            if self._pool is not None:
+                self._pool.close()
+            raise
         self._pending_rows = 0
         self._closed = False
-        self._metrics: MetricsRegistry | None = None
         self._m_requests = None
         self._m_rows = None
         self._m_rejected = None
@@ -250,11 +173,25 @@ class FleetDispatcher:
         self._m_routing_seconds = None
         self._m_pending = None
 
+    def _dispatcher(self, label: str, localizer) -> BatchingDispatcher:
+        """A slot's coalescer; the mode only picks its compute."""
+        dispatcher = BatchingDispatcher(
+            localizer,
+            batch_window_ms=self._batch_window_ms,
+            max_batch=self._max_batch,
+            chunk_size=self._chunk_size,
+            slot=label,
+            compute=None if self._pool is None else partial(self._pool.predict, label),
+        )
+        if self._metrics is not None:
+            dispatcher.bind_metrics(self._metrics)
+        return dispatcher
+
     def bind_metrics(self, registry: MetricsRegistry) -> None:
         """Record admission/routing series into ``registry``.
 
-        Also binds the slot executor (per-slot dispatch series) so one
-        call from the server instruments the whole frontend.
+        Also binds every slot dispatcher (per-slot dispatch series) so
+        one call from the server instruments the whole frontend.
         """
         self._metrics = registry
         self._m_requests = registry.counter(
@@ -281,14 +218,15 @@ class FleetDispatcher:
             "repro_fleet_pending_rows",
             "Rows admitted and not yet answered (queue depth).",
         )
-        self._executor.bind_metrics(registry)
+        for dispatcher in self._dispatchers.values():
+            dispatcher.bind_metrics(registry)
 
     def update_gauges(self) -> None:
         """Refresh scrape-time gauges (queue depth, worker liveness)."""
         if self._metrics is None:
             return
         self._m_pending.set(self._pending_rows)
-        if isinstance(self._executor, WorkerPool):
+        if self._pool is not None:
             alive = self._metrics.gauge(
                 "repro_fleet_workers_alive",
                 "Worker processes currently alive.",
@@ -303,7 +241,7 @@ class FleetDispatcher:
                 "Crash respawns of each worker slot.",
                 ("worker",),
             )
-            stats = self._executor.worker_stats()
+            stats = self._pool.worker_stats()
             alive.set(sum(1 for w in stats if w["alive"]))
             for w in stats:
                 jobs.labels(str(w["worker"])).set(w["jobs"])
@@ -311,15 +249,15 @@ class FleetDispatcher:
 
     async def collect_worker_metrics(self) -> list[MetricsSnapshot]:
         """Worker-process metric snapshots (empty for in-process mode)."""
-        if isinstance(self._executor, WorkerPool):
-            return await self._executor.collect_metrics()
+        if self._pool is not None:
+            return await self._pool.collect_metrics()
         return []
 
     def worker_liveness(self) -> dict:
         """Compact worker summary for ``/healthz`` probes."""
-        if not isinstance(self._executor, WorkerPool):
+        if self._pool is None:
             return {"mode": "in-process"}
-        stats = self._executor.worker_stats()
+        stats = self._pool.worker_stats()
         return {
             "mode": "multi-process",
             "workers": len(stats),
@@ -333,9 +271,9 @@ class FleetDispatcher:
         return self._pending_rows
 
     @property
-    def executor(self):
-        """The slot executor behind the seam (tests & rebalance)."""
-        return self._executor
+    def pool(self) -> WorkerPool | None:
+        """The worker pool (``None`` when computing in-process)."""
+        return self._pool
 
     # -- dispatch ----------------------------------------------------------
 
@@ -425,9 +363,7 @@ class FleetDispatcher:
                 deployment = self.registry.buildings[slot_key[0]]
                 block = deployment.block(scans[rows])
                 label = f"{names[slot_key[0]]}/f{slot_key[1]}"
-                coords[rows] = await self._executor.submit(
-                    label, block, trace=trace
-                )
+                coords[rows] = await self._localize_slot(label, block, trace)
                 counters = self.stats.per_slot[label]
                 counters.requests += 1
                 counters.rows += rows.shape[0]
@@ -437,7 +373,7 @@ class FleetDispatcher:
             # return_exceptions so every slot batch finishes before the
             # admission reservation is released in the finally below —
             # pending_rows must never under-count work still computing
-            # in a sibling slot's executor.
+            # in a sibling slot's dispatcher.
             results = await asyncio.gather(
                 *(run_slot(key, rows) for key, rows in groups.items()),
                 return_exceptions=True,
@@ -467,6 +403,21 @@ class FleetDispatcher:
             self.stats.forced_requests += 1
         return coords, decision
 
+    async def _localize_slot(
+        self, label: str, scans: np.ndarray, trace: Trace | None
+    ) -> np.ndarray:
+        while True:
+            dispatcher = self._dispatchers[label]
+            try:
+                return await dispatcher.localize(scans, trace=trace)
+            except RuntimeError:
+                # A swap can close the dispatcher between our lookup and
+                # the enqueue; if the slot has already been rebound,
+                # retry on the replacement — the request is never
+                # dropped. Any other RuntimeError propagates.
+                if self._dispatchers.get(label) is dispatcher:
+                    raise
+
     # -- topology ----------------------------------------------------------
 
     async def set_workers(self, workers: int) -> dict:
@@ -477,36 +428,44 @@ class FleetDispatcher:
         owners, moved slots rehome warm, zero requests drop
         (:meth:`~repro.fleet.worker.WorkerPool.resize`).
         """
-        if not isinstance(self._executor, WorkerPool):
+        if self._pool is None:
             raise RuntimeError(
                 "set_workers requires a multi-process fleet (workers >= 1)"
             )
-        summary = await self._executor.resize(workers)
+        summary = await self._pool.resize(workers)
         self.workers = int(workers)
         return summary
 
     async def swap_slot(self, building: str, floor: int, *, entry, suite) -> dict:
         """Atomically hot-swap one slot to a new model version.
 
-        The executor flips first (old model answers everything admitted
+        The compute flips first (old model answers everything admitted
         before the flip, the new one everything after — no request ever
         sees a mixed-version batch and none drop), then the registry
         rebinding bumps the slot's ``version`` for ``/models`` and
-        ``/fleet``. Works identically across the executor seam:
-        in-process swaps replace the slot's ``BatchingDispatcher``;
-        worker pools republish the slot's shared-memory radio map and
-        re-adopt it on its owner (releasing the old segments).
+        ``/fleet``. In-process, a warm replacement dispatcher is
+        installed in one loop-tick assignment and the old one drains
+        (every enqueued and in-flight request completes on the old
+        model) before closing. Worker pools republish the slot's
+        shared-memory radio map and re-adopt it on its owner (releasing
+        the old segments); the slot's dispatcher stays.
         """
         slot = self.registry.slot(building, floor)
         label = slot.slot.label
         t0 = time.perf_counter()
-        if isinstance(self._executor, WorkerPool):
+        if self._pool is not None:
             staged = FleetSlot(
                 slot=slot.slot, suite=suite, entry=entry, index=slot.index
             )
-            await self._executor.swap_slot(staged)
+            await self._pool.swap_slot(staged)
+            # The worker computes; drop the parent's hold on the old model.
+            self._dispatchers[label].localizer = entry.localizer
         else:
-            await self._executor.swap(label, entry.localizer)
+            old = self._dispatchers[label]
+            # Single assignment on the event-loop thread = the atomic flip.
+            self._dispatchers[label] = self._dispatcher(label, entry.localizer)
+            await old.drain()
+            old.close()
         self.registry.rebind_slot(building, floor, entry=entry, suite=suite)
         return {
             "slot": label,
@@ -518,24 +477,34 @@ class FleetDispatcher:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Close the slot executor (fails its pending requests)."""
+        """Close every slot dispatcher (failing pending requests), then
+        the worker pool."""
         if self._closed:
             return
         self._closed = True
-        self._executor.close()
+        for dispatcher in self._dispatchers.values():
+            dispatcher.close()
+        if self._pool is not None:
+            self._pool.close()
 
     # -- introspection -----------------------------------------------------
 
     def slot_stats(self) -> dict:
-        """Per-slot dispatcher + routing counters, keyed by slot label."""
-        executor_stats = self._executor.slot_stats()
-        return {
-            label: {
+        """Per-slot dispatcher + routing counters, keyed by slot label.
+
+        Multi-process fleets add the owning ``worker`` id to each
+        slot's ``dispatcher`` counters.
+        """
+        out = {}
+        for label, dispatcher in self._dispatchers.items():
+            stats = dispatcher.stats.as_dict()
+            if self._pool is not None:
+                stats["worker"] = self._pool.owner(label)
+            out[label] = {
                 "routing": self.stats.per_slot[label].as_dict(),
-                "dispatcher": executor_stats[label],
+                "dispatcher": stats,
             }
-            for label in executor_stats
-        }
+        return out
 
     def describe(self) -> dict:
         """JSON-ready dispatch state for ``/fleet`` and ``/healthz``."""
@@ -545,6 +514,9 @@ class FleetDispatcher:
                 "pending_rows": self._pending_rows,
             },
             "fleet": self.stats.as_dict(),
-            "executor": self._executor.describe(),
+            "executor": (
+                {"mode": "in-process"} if self._pool is None
+                else self._pool.describe()
+            ),
             "slots": self.slot_stats(),
         }

@@ -249,7 +249,7 @@ class ScanRouter:
 
         The synchronous path — the evaluation harness and the bench use
         it directly; the serving layer goes through
-        :class:`~repro.fleet.dispatch.FleetDispatcher` instead so slot
+        :class:`~repro.fleet.frontend.FleetDispatcher` instead so slot
         models micro-batch across concurrent requests.
         """
         scans = self.check_scans(scans)

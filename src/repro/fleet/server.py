@@ -236,10 +236,10 @@ class FleetServer(JsonHttpServer):
         payload["fleet"] = self.dispatcher.stats.as_dict()
         payload["live"] = self.live.describe()
         # Multi-process fleets surface per-worker process stats; the
-        # in-process executor reports its mode with no worker table.
-        executor = self.dispatcher.executor.describe()
-        payload["executor_mode"] = executor["mode"]
-        payload["workers"] = executor.get("workers", [])
+        # in-process mode reports no worker table.
+        pool = self.dispatcher.pool
+        payload["executor_mode"] = "in-process" if pool is None else "multi-process"
+        payload["workers"] = [] if pool is None else pool.worker_stats()
         return payload
 
     def _fleet(self) -> dict:

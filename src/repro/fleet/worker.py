@@ -19,15 +19,17 @@ module is the worker half:
   pipe. It works under both ``fork`` and ``spawn``
   (:mod:`repro.mp` / ``$REPRO_MP_START``) — every message is picklable
   and nothing depends on inherited parent state.
-* :class:`WorkerPool` is the parent-side handle: consistent-hash slot
-  placement (:class:`~repro.fleet.placement.SlotPlacement`), per-slot
-  micro-batch coalescing (same window/row semantics as
-  :class:`~repro.serve.dispatcher.BatchingDispatcher`), graceful
-  rebalance on topology change, and crash-restart — a dead worker is
-  respawned warm from the retained payloads (the shared segments
-  outlive the worker), its in-flight batches retried once, then failed
-  with the *retryable* :class:`WorkerCrashedError` (HTTP 503), never
-  hung.
+* :class:`WorkerPool` is the parent-side handle: process lifecycle,
+  consistent-hash slot placement
+  (:class:`~repro.fleet.placement.SlotPlacement`), the pipe round trip
+  (:meth:`WorkerPool.predict`), graceful rebalance on topology change,
+  hot-swap, and crash-restart — a dead worker is respawned warm from
+  the retained payloads (the shared segments outlive the worker), its
+  in-flight batches retried once, then failed with the *retryable*
+  :class:`WorkerCrashedError` (HTTP 503), never hung. Coalescing is not
+  done here: each slot's
+  :class:`~repro.serve.dispatcher.BatchingDispatcher` batches requests
+  and sends every flush through :meth:`WorkerPool.predict`.
 
 Because ``predict_batched`` is row-independent (the
 ``BatchedLocalizer`` contract) and every slot's model state is the
@@ -60,7 +62,6 @@ from ..kernels import (
 )
 from ..mp import mp_context
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot
-from ..obs.trace import Trace
 from .placement import SlotPlacement, VNODES
 from .registry import FleetRegistry, FleetSlot
 
@@ -422,30 +423,15 @@ class _Worker:
     retired: bool = False
 
 
-@dataclass
-class _SlotQueue:
-    """Per-slot coalescing state (mirrors BatchingDispatcher's window)."""
-
-    pending: list = field(default_factory=list)
-    rows: int = 0
-    handle: asyncio.TimerHandle | None = None
-    requests: int = 0
-    batches: int = 0
-    total_rows: int = 0
-    max_batch_rows: int = 0
-    sequential_requests: int = 0
-    errors: int = 0
-
-
 class WorkerPool:
-    """Slot executor backed by N worker processes + shared radio maps.
+    """N worker processes serving fleet slots from shared radio maps.
 
-    Drop-in peer of the in-process executor behind
-    :class:`~repro.fleet.frontend.FleetDispatcher`'s slot-executor seam
-    (same ``submit`` / ``close`` / ``slot_stats`` / ``describe``
-    surface). Construction publishes every slot's packed reference
-    arrays into shared memory, spawns the workers and blocks until all
-    of them report ready — the pool never serves from cold workers.
+    Owns processes, placement and IPC only: each slot's
+    :class:`~repro.serve.dispatcher.BatchingDispatcher` in the fleet
+    front-end coalesces requests and calls :meth:`predict` once per
+    flush. Construction publishes every slot's packed reference arrays into
+    shared memory, spawns the workers and blocks until all of them
+    report ready — the pool never serves from cold workers.
 
     Parameters
     ----------
@@ -454,9 +440,8 @@ class WorkerPool:
         entries).
     workers:
         Worker process count (>= 1).
-    batch_window_ms / max_batch / chunk_size:
-        Micro-batching knobs, same semantics as
-        :class:`~repro.serve.dispatcher.BatchingDispatcher`.
+    chunk_size:
+        Forwarded to each worker's ``predict_batched``.
     start_method:
         Forced multiprocessing start method; ``None`` resolves through
         ``$REPRO_MP_START`` then the platform default (:mod:`repro.mp`).
@@ -469,16 +454,12 @@ class WorkerPool:
         registry: FleetRegistry,
         *,
         workers: int,
-        batch_window_ms: float = 2.0,
-        max_batch: int = 256,
         chunk_size: int | None = None,
         start_method: str | None = None,
         vnodes: int = VNODES,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.batch_window_ms = float(batch_window_ms)
-        self.max_batch = int(max_batch)
         self.chunk_size = chunk_size
         self._ctx = mp_context(start_method)
         self._vnodes = int(vnodes)
@@ -499,19 +480,11 @@ class WorkerPool:
         self._owner: dict[str, int] = {
             label: self._placement.worker_for(label) for label in self._labels
         }
-        self._queues: dict[str, _SlotQueue] = {
-            label: _SlotQueue() for label in self._labels
-        }
         self._req_ids = itertools.count(1)
         self._inflight: dict[int, _Inflight] = {}
         self._lock = threading.Lock()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._closed = False
-        # Parent-side bound metric children (bind_metrics).
-        self._m_batch_seconds_family = None
-        self._m_rows_family = None
-        self._m_batches_family = None
-        self._m_errors_family = None
         self._workers: dict[int, _Worker] = {}
         try:
             for worker_id, labels in self._placement.assign(
@@ -748,46 +721,24 @@ class WorkerPool:
                 return
             await asyncio.sleep(0.01)
 
-    # -- public surface (the slot-executor seam) ---------------------------
+    # -- public surface ----------------------------------------------------
 
-    def bind_metrics(self, registry: MetricsRegistry) -> None:
-        """Record parent-side per-slot dispatch series into ``registry``.
+    async def predict(self, label: str, scans: np.ndarray) -> np.ndarray:
+        """Answer ``scans`` on the worker that owns ``label``.
 
-        Uses the same family names as
-        :meth:`~repro.serve.dispatcher.BatchingDispatcher.bind_metrics`
-        so ``/metrics`` reads identically whichever executor serves —
-        here ``repro_batch_compute_seconds`` includes the pipe round
-        trip (the in-worker share is the separate
-        ``repro_worker_predict_seconds`` family shipped by snapshot).
+        One pipe round trip: the owner runs ``predict_batched`` (or
+        ``predict`` for sequential decoders) and ships the ``(n, 2)``
+        coordinates back. A worker crash mid-call is retried once on
+        the warm respawn, then fails with :class:`WorkerCrashedError`.
         """
-        self._m_batch_seconds_family = registry.histogram(
-            "repro_batch_compute_seconds",
-            "Coalesced-batch inference time, by slot.",
-            ("slot",),
+        if self._closed:
+            raise RuntimeError("worker pool is closed")
+        if label not in self._payloads:
+            raise KeyError(f"unknown slot {label!r}")
+        worker = self._workers[self._owner[label]]
+        return await self._request(
+            worker, "predict", (label, scans), label=label, scans=scans
         )
-        self._m_rows_family = registry.counter(
-            "repro_dispatch_rows_total",
-            "Scan rows resolved through the dispatcher, by slot.",
-            ("slot",),
-        )
-        self._m_batches_family = registry.counter(
-            "repro_dispatch_batches_total",
-            "Coalesced flushes dispatched, by slot.",
-            ("slot",),
-        )
-        self._m_errors_family = registry.counter(
-            "repro_dispatch_errors_total",
-            "Requests failed inside dispatch, by slot.",
-            ("slot",),
-        )
-
-    def _record_batch_metrics(
-        self, label: str, elapsed: float, n_rows: int
-    ) -> None:
-        if self._m_batch_seconds_family is not None:
-            self._m_batch_seconds_family.labels(label).observe(elapsed)
-            self._m_rows_family.labels(label).inc(n_rows)
-            self._m_batches_family.labels(label).inc()
 
     async def collect_metrics(self) -> list[MetricsSnapshot]:
         """Every live worker's metrics snapshot (crashed workers skipped).
@@ -808,119 +759,6 @@ class WorkerPool:
         return [
             snap for snap in results if isinstance(snap, MetricsSnapshot)
         ]
-
-    async def submit(
-        self, label: str, scans: np.ndarray, *, trace: Trace | None = None
-    ) -> np.ndarray:
-        """Resolve one slot batch; coalesces with concurrent arrivals."""
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        if label not in self._payloads:
-            raise KeyError(f"unknown slot {label!r}")
-        queue = self._queues[label]
-        queue.requests += 1
-        if not self._payloads[label].batched:
-            # Sequential decoders must not be coalesced across clients
-            # (same rule as BatchingDispatcher); FIFO pipe + the
-            # worker's single thread keep request order.
-            queue.sequential_requests += 1
-            return await self._predict_once(label, scans, queue, trace)
-        loop = asyncio.get_running_loop()
-        fut: asyncio.Future = loop.create_future()
-        queue.pending.append((scans, fut, trace, time.perf_counter()))
-        queue.rows += int(scans.shape[0])
-        if queue.rows >= self.max_batch:
-            self._flush(label)
-        elif queue.handle is None:
-            queue.handle = loop.call_later(
-                self.batch_window_ms / 1000.0, self._flush, label
-            )
-        return await fut
-
-    async def _predict_once(
-        self,
-        label: str,
-        scans: np.ndarray,
-        queue: _SlotQueue,
-        trace: Trace | None,
-    ) -> np.ndarray:
-        worker = self._workers[self._owner[label]]
-        t_submit = time.perf_counter()
-        try:
-            coords = await self._request(
-                worker, "predict", (label, scans), label=label, scans=scans
-            )
-        except Exception:
-            queue.errors += 1
-            if self._m_errors_family is not None:
-                self._m_errors_family.labels(label).inc()
-            raise
-        elapsed = time.perf_counter() - t_submit
-        queue.batches += 1
-        queue.total_rows += int(scans.shape[0])
-        queue.max_batch_rows = max(
-            queue.max_batch_rows, int(scans.shape[0])
-        )
-        self._record_batch_metrics(label, elapsed, int(scans.shape[0]))
-        if trace is not None:
-            trace.add("compute", elapsed, slot=label)
-        return coords
-
-    def _flush(self, label: str) -> None:
-        queue = self._queues[label]
-        if queue.handle is not None:
-            queue.handle.cancel()
-            queue.handle = None
-        batch, queue.pending = queue.pending, []
-        queue.rows = 0
-        if not batch:
-            return
-        loop = asyncio.get_running_loop()
-        loop.create_task(self._run_batch(label, batch))
-
-    async def _run_batch(
-        self,
-        label: str,
-        batch: list[tuple[np.ndarray, asyncio.Future, Trace | None, float]],
-    ) -> None:
-        queue = self._queues[label]
-        t_flush = time.perf_counter()
-        for _, _, trace, t_enqueue in batch:
-            if trace is not None:
-                # Coalescing wait: enqueue until this flush fired.
-                trace.add("queue", t_flush - t_enqueue, slot=label)
-        try:
-            matrix = (
-                batch[0][0]
-                if len(batch) == 1
-                else np.concatenate([rows for rows, _, _, _ in batch], axis=0)
-            )
-            worker = self._workers[self._owner[label]]
-            coords = await self._request(
-                worker, "predict", (label, matrix), label=label, scans=matrix
-            )
-        except Exception as exc:  # noqa: BLE001 - fan the failure out
-            queue.errors += len(batch)
-            if self._m_errors_family is not None:
-                self._m_errors_family.labels(label).inc(len(batch))
-            for _, fut, _, _ in batch:
-                if not fut.done():
-                    fut.set_exception(exc)
-            return
-        elapsed = time.perf_counter() - t_flush
-        n_rows = int(matrix.shape[0])
-        queue.batches += 1
-        queue.total_rows += n_rows
-        queue.max_batch_rows = max(queue.max_batch_rows, n_rows)
-        self._record_batch_metrics(label, elapsed, n_rows)
-        offset = 0
-        for rows, fut, trace, _ in batch:
-            n = int(rows.shape[0])
-            if trace is not None:
-                trace.add("compute", elapsed, slot=label, batch_rows=n_rows)
-            if not fut.done():
-                fut.set_result(np.array(coords[offset : offset + n]))
-            offset += n
 
     # -- hot-swap ----------------------------------------------------------
 
@@ -1077,15 +915,6 @@ class WorkerPool:
             self._fail_threadsafe(
                 entry, RuntimeError("worker pool is closed")
             )
-        for queue in self._queues.values():
-            if queue.handle is not None:
-                queue.handle.cancel()
-                queue.handle = None
-            pending, queue.pending = queue.pending, []
-            queue.rows = 0
-            for _, fut, _, _ in pending:
-                if not fut.done():
-                    fut.set_exception(RuntimeError("worker pool is closed"))
         for worker in self._workers.values():
             worker.retired = True
             with contextlib.suppress(OSError, ValueError):
@@ -1096,6 +925,10 @@ class WorkerPool:
             if worker.process.is_alive():  # pragma: no cover - stuck worker
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
+            # The reader sees EOF once the worker is gone; let it exit
+            # before closing the pipe under its blocking recv().
+            if worker.reader is not None:
+                worker.reader.join(timeout=5.0)
             with contextlib.suppress(OSError):  # pragma: no cover - closed
                 worker.conn.close()
         self._workers.clear()
@@ -1108,26 +941,9 @@ class WorkerPool:
 
     # -- introspection -----------------------------------------------------
 
-    def slot_stats(self) -> dict:
-        """Per-slot dispatch counters, same keys as DispatchStats."""
-        out = {}
-        for label, queue in self._queues.items():
-            mean = (
-                round(queue.total_rows / queue.batches, 2)
-                if queue.batches
-                else 0.0
-            )
-            out[label] = {
-                "requests": queue.requests,
-                "rows": queue.total_rows,
-                "batches": queue.batches,
-                "mean_batch_rows": mean,
-                "max_batch_rows": queue.max_batch_rows,
-                "sequential_requests": queue.sequential_requests,
-                "errors": queue.errors,
-                "worker": self._owner[label],
-            }
-        return out
+    def owner(self, label: str) -> int:
+        """Id of the worker currently serving ``label``."""
+        return self._owner[label]
 
     def worker_stats(self) -> list[dict]:
         """Per-worker process facts for ``/models`` and ``/fleet``."""

@@ -65,8 +65,7 @@ class LiveManager:
     ----------
     dispatcher:
         The :class:`~repro.fleet.frontend.FleetDispatcher` serving the
-        fleet; swaps go through its executor-independent
-        ``swap_slot``.
+        fleet; swaps go through its mode-independent ``swap_slot``.
     policy:
         The :class:`DriftPolicy`.  The all-default policy only refits
         on a full buffer, so a fleet that never sees ``/observe``
@@ -289,7 +288,7 @@ class LiveManager:
             n_used = int(rssi.shape[0])
             loop = asyncio.get_running_loop()
             # The fit runs on the dedicated refit thread — the serving
-            # executors never queue behind a training job.
+            # inference threads never queue behind a training job.
             result = await loop.run_in_executor(
                 self._refit_executor,
                 lambda: refit_slot(

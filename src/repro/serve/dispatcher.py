@@ -23,25 +23,35 @@ the two:
   dispatch**, each request's rows handled as one ordered sequence, in
   arrival order.
 
-Inference runs on a single worker thread (``run_in_executor``), so the
-event loop keeps accepting and coalescing new arrivals while a batch
-computes — that overlap is where micro-batching throughput comes from.
-The single worker also serializes sequential-framework requests without
-extra locking.
+Every flush, and every sequential request, goes through one **compute
+callable**: ``compute(rows)`` returns an awaitable of the ``(n, 2)``
+coordinates. The default runs the localizer on a single inference
+thread (``run_in_executor``), so the event loop keeps accepting and
+coalescing new arrivals while a batch computes — that overlap is where
+micro-batching throughput comes from. The single thread also
+serializes sequential-framework requests without extra locking. A
+fleet served by worker processes passes a pipe round trip instead
+(:meth:`~repro.fleet.worker.WorkerPool.predict`); coalescing, stats,
+metrics and trace spans are the same code either way.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections.abc import Awaitable, Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ..baselines.base import BatchedLocalizer, Localizer
 from ..obs.metrics import MetricsRegistry
 from ..obs.trace import Trace
+
+#: ``compute(rows)`` -> awaitable of the ``(n, 2)`` coordinates.
+Compute = Callable[[np.ndarray], Awaitable[np.ndarray]]
 
 
 @dataclass
@@ -54,14 +64,9 @@ class DispatchStats:
     max_batch_rows: int = 0
     sequential_requests: int = 0
     errors: int = 0
-    #: Flushes whose rows were regrouped by probed shard before
-    #: inference (only happens for models with a sharded index).
-    shard_grouped_batches: int = 0
-    #: Total distinct probed shards across those regrouped flushes.
-    shard_groups: int = 0
 
-    def record_batch(self, n_requests: int, n_rows: int) -> None:
-        """Account one coalesced flush of ``n_requests`` requests."""
+    def record_batch(self, n_rows: int) -> None:
+        """Account one completed dispatch of ``n_rows`` rows."""
         self.batches += 1
         self.rows += n_rows
         self.max_batch_rows = max(self.max_batch_rows, n_rows)
@@ -80,8 +85,6 @@ class DispatchStats:
             "max_batch_rows": self.max_batch_rows,
             "sequential_requests": self.sequential_requests,
             "errors": self.errors,
-            "shard_grouped_batches": self.shard_grouped_batches,
-            "shard_groups": self.shard_groups,
         }
 
 
@@ -107,6 +110,13 @@ class BatchingDispatcher:
     chunk_size:
         Forwarded to ``predict_batched`` — caps rows per inference
         block; changes peak memory, never values.
+    slot:
+        Label stamped on this dispatcher's trace spans and metric
+        series (the fleet slot; the single-model server uses ``"_"``).
+    compute:
+        Where coalesced rows are answered. ``None`` runs ``localizer``
+        on this dispatcher's own inference thread; a fleet with worker
+        processes passes the slot's pipe round trip.
     """
 
     def __init__(
@@ -116,6 +126,8 @@ class BatchingDispatcher:
         batch_window_ms: float = 2.0,
         max_batch: int = 256,
         chunk_size: int | None = None,
+        slot: str = "_",
+        compute: Compute | None = None,
     ) -> None:
         if batch_window_ms < 0:
             raise ValueError("batch_window_ms must be >= 0")
@@ -128,13 +140,25 @@ class BatchingDispatcher:
         self.batch_window_ms = float(batch_window_ms)
         self.max_batch = int(max_batch)
         self.chunk_size = chunk_size
+        self.slot = slot
         self.stats = DispatchStats()
         self._pending: list[tuple[np.ndarray, asyncio.Future, Trace | None, float]] = []
         self._pending_rows = 0
         self._flush_handle: asyncio.TimerHandle | None = None
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-predict"
-        )
+        #: Dispatched computes not yet answered (what ``drain`` awaits).
+        self._inflight: set[asyncio.Future] = set()
+        self._executor: ThreadPoolExecutor | None = None
+        if compute is None:
+            self._executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-serve-predict"
+            )
+            self._predict = (
+                partial(localizer.predict_batched, chunk_size=chunk_size)
+                if self.batched
+                else localizer.predict
+            )
+            compute = self._compute_local
+        self._compute = compute
         self._closed = False
         # Bound metric children (bind_metrics); None = not recording.
         self._m_batch_seconds = None
@@ -142,13 +166,12 @@ class BatchingDispatcher:
         self._m_batches = None
         self._m_errors = None
 
-    def bind_metrics(self, registry: MetricsRegistry, slot: str = "_") -> None:
+    def bind_metrics(self, registry: MetricsRegistry) -> None:
         """Record per-flush counters/latency into ``registry``.
 
-        ``slot`` labels the series (fleet servers run one dispatcher
-        per deployment slot; the single-model server uses ``"_"``).
-        Families are get-or-created, so any number of dispatchers can
-        bind the same registry.
+        Series are labeled with this dispatcher's ``slot``. Families
+        are get-or-created, so any number of dispatchers can bind the
+        same registry.
         """
         batch_seconds = registry.histogram(
             "repro_batch_compute_seconds",
@@ -170,10 +193,10 @@ class BatchingDispatcher:
             "Requests failed inside dispatch, by slot.",
             ("slot",),
         )
-        self._m_batch_seconds = batch_seconds.labels(slot)
-        self._m_rows = rows.labels(slot)
-        self._m_batches = batches.labels(slot)
-        self._m_errors = errors.labels(slot)
+        self._m_batch_seconds = batch_seconds.labels(self.slot)
+        self._m_rows = rows.labels(self.slot)
+        self._m_batches = batches.labels(self.slot)
+        self._m_errors = errors.labels(self.slot)
 
     # -- public API --------------------------------------------------------
 
@@ -208,14 +231,12 @@ class BatchingDispatcher:
         The hot-swap half of ``close()``: a live swap first points new
         traffic at the replacement dispatcher, then drains this one so
         requests that already hold its reference finish on the *old*
-        model, then closes it. Flushes whatever is pending and rides a
-        sentinel through the single-worker inference executor — FIFO
-        ordering guarantees every earlier batch has computed by the
-        time the sentinel returns.
+        model, then closes it. Flushes whatever is pending and waits
+        for every dispatched compute to answer.
         """
         self._flush()
-        loop = asyncio.get_running_loop()
-        await loop.run_in_executor(self._executor, lambda: None)
+        if self._inflight:
+            await asyncio.wait(list(self._inflight))
 
     def close(self) -> None:
         """Fail pending requests and release the inference thread."""
@@ -227,38 +248,60 @@ class BatchingDispatcher:
             self._flush_handle = None
         pending, self._pending = self._pending, []
         self._pending_rows = 0
-        for _, fut, _, _ in pending:
+        self._fail(pending, RuntimeError("dispatcher closed"))
+        if self._executor is not None:
+            self._executor.shutdown(wait=False)
+
+    # -- compute -----------------------------------------------------------
+
+    def _compute_local(self, rows: np.ndarray) -> asyncio.Future:
+        # A bare executor future, not a Task: the flush path adds its
+        # done-callback directly, so a lone request pays no extra hop.
+        loop = asyncio.get_running_loop()
+        return loop.run_in_executor(self._executor, self._predict, rows)
+
+    def _record(self, n_rows: int, elapsed: float) -> None:
+        # Counted only on success, so the /healthz batch counters
+        # reflect completed work.
+        self.stats.record_batch(n_rows)
+        if self._m_batch_seconds is not None:
+            self._m_batch_seconds.observe(elapsed)
+            self._m_rows.inc(n_rows)
+            self._m_batches.inc()
+
+    def _fail(self, batch: list, exc: BaseException) -> None:
+        for _, fut, _, _ in batch:
             if not fut.done():
-                fut.set_exception(RuntimeError("dispatcher closed"))
-        self._executor.shutdown(wait=False)
+                fut.set_exception(exc)
+
+    def _count_errors(self, n: int) -> None:
+        self.stats.errors += n
+        if self._m_errors is not None:
+            self._m_errors.inc(n)
 
     # -- sequential fallback -----------------------------------------------
 
     async def _dispatch_sequential(
         self, rssi: np.ndarray, trace: Trace | None
     ) -> np.ndarray:
-        # The single-worker executor serializes requests in submission
-        # order; each request's rows stay one ordered walk.
+        # One compute per request, in submission order; each request's
+        # rows stay one ordered walk.
         self.stats.sequential_requests += 1
-        loop = asyncio.get_running_loop()
         t_submit = time.perf_counter()
         try:
-            result = await loop.run_in_executor(
-                self._executor, self.localizer.predict, rssi
-            )
+            job = asyncio.ensure_future(self._compute(rssi))
+            self._inflight.add(job)
+            try:
+                result = await job
+            finally:
+                self._inflight.discard(job)
         except Exception:
-            self.stats.errors += 1
-            if self._m_errors is not None:
-                self._m_errors.inc()
+            self._count_errors(1)
             raise
         elapsed = time.perf_counter() - t_submit
-        self.stats.record_batch(1, rssi.shape[0])
-        if self._m_batch_seconds is not None:
-            self._m_batch_seconds.observe(elapsed)
-            self._m_rows.inc(rssi.shape[0])
-            self._m_batches.inc()
+        self._record(rssi.shape[0], elapsed)
         if trace is not None:
-            trace.add("compute", elapsed)
+            trace.add("compute", elapsed, slot=self.slot)
         return result
 
     # -- micro-batching core -----------------------------------------------
@@ -286,12 +329,11 @@ class BatchingDispatcher:
         self._pending_rows = 0
         if not batch:
             return
-        loop = asyncio.get_running_loop()
         t_flush = time.perf_counter()
         for _, _, trace, t_enqueue in batch:
             if trace is not None:
                 # Coalescing wait: enqueue until this flush fired.
-                trace.add("queue", t_flush - t_enqueue)
+                trace.add("queue", t_flush - t_enqueue, slot=self.slot)
         try:
             # Raises when direct API callers coalesce inconsistent row
             # widths; fail this batch rather than hang its futures.
@@ -300,55 +342,14 @@ class BatchingDispatcher:
                 if len(batch) == 1
                 else np.concatenate([rows for rows, _, _, _ in batch], axis=0)
             )
-            job = loop.run_in_executor(self._executor, self._predict, matrix)
+            job = asyncio.ensure_future(self._compute(matrix))
         except Exception as exc:
-            self.stats.errors += len(batch)
-            if self._m_errors is not None:
-                self._m_errors.inc(len(batch))
-            for _, fut, _, _ in batch:
-                if not fut.done():
-                    fut.set_exception(exc)
+            self._count_errors(len(batch))
+            self._fail(batch, exc)
             return
+        self._inflight.add(job)
         job.add_done_callback(
             lambda done: self._deliver(batch, done, t_flush)
-        )
-
-    def _predict(self, matrix: np.ndarray) -> np.ndarray:
-        """Run one coalesced batch, regrouped by probed shard when possible.
-
-        Models serving a sharded radio map expose ``shard_routes``; the
-        coalesced rows are then sorted by their primary probed shard and
-        the predictions scattered back to arrival order. The KNN head
-        already groups queries by probe set order-independently, so this
-        is an *observability* move, not a throughput one: it feeds the
-        ``shard_grouped_batches``/``shard_groups`` counters (how shard-
-        concentrated live traffic is — the signal for sizing ``n_probe``
-        and future shard-local model placement) and hands the model a
-        deterministic shard-major row order. Routing costs one extra
-        pass per flush: a ``(rows, n_shards)`` centroid block for KNN,
-        plus a repeated imputation for LT-KNN (its routes are defined
-        over imputed scans) — acceptable at flush granularity, but the
-        reason routing is a per-model opt-in (``shard_routes`` returning
-        ``None`` skips all of it). Because ``predict`` is
-        row-independent (the ``BatchedLocalizer`` contract), answers are
-        bit-identical to the unsorted dispatch.
-        """
-        assert isinstance(self.localizer, BatchedLocalizer)
-        if matrix.shape[0] > 1:
-            routes = self.localizer.shard_routes(matrix)
-            if routes is not None:
-                n_groups = int(np.unique(routes).size)
-                if n_groups > 1:
-                    order = np.argsort(routes, kind="stable")
-                    out = np.empty((matrix.shape[0], 2), dtype=np.float64)
-                    out[order] = self.localizer.predict_batched(
-                        matrix[order], chunk_size=self.chunk_size
-                    )
-                    self.stats.shard_grouped_batches += 1
-                    self.stats.shard_groups += n_groups
-                    return out
-        return self.localizer.predict_batched(
-            matrix, chunk_size=self.chunk_size
         )
 
     def _deliver(
@@ -357,30 +358,21 @@ class BatchingDispatcher:
         done: asyncio.Future,
         t_flush: float,
     ) -> None:
+        self._inflight.discard(done)
         exc = done.exception()
         if exc is not None:
-            self.stats.errors += len(batch)
-            if self._m_errors is not None:
-                self._m_errors.inc(len(batch))
-            for _, fut, _, _ in batch:
-                if not fut.done():
-                    fut.set_exception(exc)
+            self._count_errors(len(batch))
+            self._fail(batch, exc)
             return
         coords = done.result()
         elapsed = time.perf_counter() - t_flush
         n_rows = sum(rows.shape[0] for rows, _, _, _ in batch)
-        # Counted only on success (like the sequential path), so the
-        # /healthz batch counters reflect completed work.
-        self.stats.record_batch(len(batch), n_rows)
-        if self._m_batch_seconds is not None:
-            self._m_batch_seconds.observe(elapsed)
-            self._m_rows.inc(n_rows)
-            self._m_batches.inc()
+        self._record(n_rows, elapsed)
         offset = 0
         for rows, fut, trace, _ in batch:
             n = rows.shape[0]
             if trace is not None:
-                trace.add("compute", elapsed, batch_rows=n_rows)
+                trace.add("compute", elapsed, slot=self.slot, batch_rows=n_rows)
             if not fut.done():
                 fut.set_result(np.array(coords[offset : offset + n]))
             offset += n

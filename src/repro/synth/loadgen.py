@@ -1,6 +1,6 @@
 """Asyncio load generator for fleet dispatchers.
 
-Drives a :class:`~repro.fleet.dispatch.FleetDispatcher` with
+Drives a :class:`~repro.fleet.frontend.FleetDispatcher` with
 ground-truth-labelled synthetic traffic and measures what operators
 actually page on: p50/p99/p999 latency, achieved vs offered throughput
 (saturation), and the taxonomy of rejections (429 overloads, 400
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..fleet.dispatch import FleetDispatcher, FleetOverloadError
+from ..fleet.frontend import FleetDispatcher, FleetOverloadError
 from ..fleet.experiment import fleet_epoch_traffic
 from ..fleet.registry import FleetRegistry
 from ..obs import DEFAULT_LATENCY_BUCKETS, MetricsRegistry, histogram_percentile

@@ -8,7 +8,7 @@ from repro.baselines import (
     GIFTLocalizer,
     SCNNConfig,
     SCNNLocalizer,
-    make_localizer,
+    build_localizer,
 )
 from repro.core import StoneLocalizer
 from repro.geometry import build_grid_floorplan
@@ -101,20 +101,20 @@ class TestSCNN:
 class TestRegistry:
     def test_all_paper_frameworks_buildable(self):
         for name in PAPER_FRAMEWORKS:
-            localizer = make_localizer(name, suite_name="office", fast=True)
+            localizer = build_localizer(name, suite_name="office", fast=True)
             assert localizer.name == name
 
     def test_stone_suite_tuning(self):
         from repro.core import PER_SUITE_EMBEDDING_DIM
 
-        stone = make_localizer("STONE", suite_name="uji")
+        stone = build_localizer("STONE", suite_name="uji")
         assert isinstance(stone, StoneLocalizer)
         assert stone.config.encoder.embedding_dim == PER_SUITE_EMBEDDING_DIM["uji"]
 
     def test_case_insensitive(self):
-        assert make_localizer("ltknn").name == "LT-KNN"
-        assert make_localizer("stone", fast=True).name == "STONE"
+        assert build_localizer("ltknn").name == "LT-KNN"
+        assert build_localizer("stone", fast=True).name == "STONE"
 
     def test_unknown_framework(self):
         with pytest.raises(KeyError):
-            make_localizer("DeepMagic")
+            build_localizer("DeepMagic")

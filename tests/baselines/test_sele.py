@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import SELEConfig, SELELocalizer, make_localizer
+from repro.baselines import SELEConfig, SELELocalizer, build_localizer
 from repro.geometry import build_grid_floorplan
 
 from ..conftest import make_synthetic_dataset
@@ -40,7 +40,7 @@ class TestSELE:
         assert SELELocalizer().requires_retraining is True
 
     def test_registry_entry(self):
-        sele = make_localizer("SELE", fast=True)
+        sele = build_localizer("SELE", fast=True)
         assert isinstance(sele, SELELocalizer)
         assert sele.config.epochs == 8
 

@@ -12,7 +12,7 @@ from repro.baselines import (
     PseudoLabelEnsembleLocalizer,
     WiDeepConfig,
     WiDeepLocalizer,
-    make_localizer,
+    build_localizer,
 )
 
 
@@ -145,9 +145,9 @@ class TestPseudoLabelEnsemble:
 class TestRegistry:
     def test_extended_frameworks_constructible(self):
         for name in EXTENDED_FRAMEWORKS:
-            loc = make_localizer(name, fast=True)
+            loc = build_localizer(name, fast=True)
             assert loc.name == name
 
     def test_unknown_name_lists_extended(self):
         with pytest.raises(KeyError, match="PL-Ensemble"):
-            make_localizer("nonexistent")
+            build_localizer("nonexistent")

@@ -16,8 +16,8 @@ import pytest
 from repro.baselines.base import BatchedLocalizer
 from repro.baselines.registry import (
     ALL_FRAMEWORKS,
+    build_localizer,
     framework_capabilities,
-    make_localizer,
     supports_batched_inference,
 )
 from repro.core import KNNHead
@@ -36,7 +36,7 @@ def fitted_localizers():
     floorplan = build_grid_floorplan("tiny", width=12.0, height=10.0, rp_spacing=2.0)
     fitted = {}
     for name in BATCHED:
-        localizer = make_localizer(name, suite_name="office", fast=True)
+        localizer = build_localizer(name, suite_name="office", fast=True)
         localizer.fit(train, floorplan, rng=np.random.default_rng(11))
         fitted[name] = localizer
     return train, fitted
@@ -101,7 +101,7 @@ class TestBatchedEquivalence:
     def test_gift_is_sequence_stateful(self):
         # GIFT's predictions depend on scan order: the contract test is
         # that it declares itself non-batched, not that rows match.
-        localizer = make_localizer("GIFT")
+        localizer = build_localizer("GIFT")
         assert not localizer.batched_inference
         assert not isinstance(localizer, BatchedLocalizer)
 

@@ -57,6 +57,12 @@ class TestInProcessFleetObservability:
         stages = [span["stage"] for span in body["trace"]["spans"]]
         for stage in ("admission", "routing", "queue", "compute", "scatter"):
             assert stage in stages, f"missing {stage} in {stages}"
+        # Per-slot spans name their slot, so a multi-slot request's
+        # critical slot can be found from the trace alone.
+        slot_spans = [
+            s for s in body["trace"]["spans"] if s["stage"] in ("queue", "compute")
+        ]
+        assert slot_spans and all("slot" in span for span in slot_spans)
 
     def test_metrics_scrape_has_fleet_families(self, server, fleet_traffic):
         scans = fleet_traffic[0]

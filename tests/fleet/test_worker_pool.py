@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.fleet import FleetDispatcher, WorkerCrashedError
 from repro.fleet.worker import WorkerPool
+from repro.serve.dispatcher import DispatchStats
 
 from .conftest import direct_slot_predictions
 
@@ -156,7 +157,7 @@ class TestCrashRestart:
         """SIGKILL racing an in-flight batch: the request is either
         retried transparently (bit-identical answer) or fails with the
         retryable 503 error — and the pool serves again right after."""
-        pool = dispatcher.executor
+        pool = dispatcher.pool
         label = "HQ/f0"
         victim = pool._workers[pool._owner[label]]
         scans = fleet_traffic[0]
@@ -196,7 +197,7 @@ class TestCrashRestart:
     def test_kill_between_requests_is_invisible(
         self, dispatcher, fleet_registry, fleet_traffic
     ):
-        pool = dispatcher.executor
+        pool = dispatcher.pool
         label = "LAB/f1"
         victim = pool._workers[pool._owner[label]]
         os.kill(victim.pid, signal.SIGKILL)
@@ -272,7 +273,7 @@ class TestRebalance:
             0 <= p <= dispatcher.max_pending_rows for p in pending_seen
         )
         # The surviving worker owns the whole fleet, warm.
-        stats = dispatcher.executor.worker_stats()
+        stats = dispatcher.pool.worker_stats()
         assert [w["worker"] for w in stats] == [0]
         assert sorted(stats[0]["slots"]) == sorted(
             s.slot.label for s in fleet_registry.slots()
@@ -280,12 +281,12 @@ class TestRebalance:
 
     def test_resize_moves_only_consistent_hash_arcs(self, dispatcher):
         summary = run(dispatcher.set_workers(3))
-        labels = {s for s in dispatcher.executor._owner}
+        labels = {s for s in dispatcher.pool._owner}
         moved = set(summary["moved_slots"])
         assert moved <= labels
         # Growth never shuffles slots between survivors.
         for label in moved:
-            assert dispatcher.executor._owner[label] == 2
+            assert dispatcher.pool._owner[label] == 2
 
     def test_set_workers_requires_worker_pool(self, fleet_registry):
         d = FleetDispatcher(fleet_registry)
@@ -296,28 +297,57 @@ class TestRebalance:
             d.close()
 
 
+#: Both execution modes: in-process compute and two worker processes.
+BOTH_MODES = {"argvalues": [0, 2], "ids": ["workers=0", "workers=2"]}
+
+
+@pytest.fixture(scope="module")
+def seam_dispatcher(request, fleet_registry):
+    """A fleet computing in-process (0) or in worker processes (2)."""
+    if request.param:
+        yield request.getfixturevalue("mp_dispatcher")
+        return
+    d = FleetDispatcher(fleet_registry, batch_window_ms=1.0)
+    yield d
+    d.close()
+
+
 class TestExecutorSeam:
-    def test_unknown_slot_rejected(self, mp_dispatcher):
-        with pytest.raises(KeyError, match="unknown slot"):
-            run(
-                mp_dispatcher.executor.submit(
-                    "NOWHERE/f0", np.zeros((1, 4))
-                )
-            )
+    """Both modes share one per-slot dispatcher: same errors, same stats."""
 
-    def test_closed_pool_rejects(self, fleet_registry):
-        pool = WorkerPool(fleet_registry, workers=1)
-        pool.close()
+    @pytest.mark.parametrize("seam_dispatcher", indirect=True, **BOTH_MODES)
+    def test_unknown_slot_rejected(self, seam_dispatcher, fleet_registry):
+        scans = np.zeros((1, fleet_registry.n_aps))
+        with pytest.raises(KeyError, match="no floor 9"):
+            run(seam_dispatcher.localize(scans, building="HQ", floor=9))
+        if seam_dispatcher.pool is not None:
+            with pytest.raises(KeyError, match="unknown slot"):
+                run(seam_dispatcher.pool.predict("NOWHERE/f0", np.zeros((1, 4))))
+
+    @pytest.mark.parametrize("workers", **BOTH_MODES)
+    def test_closed_pool_rejects(self, fleet_registry, workers):
+        d = FleetDispatcher(fleet_registry, workers=workers)
+        d.close()
         with pytest.raises(RuntimeError, match="closed"):
-            run(pool.submit("HQ/f0", np.zeros((1, 4))))
+            run(d.localize(np.zeros((1, fleet_registry.n_aps))))
+        if d.pool is not None:
+            with pytest.raises(RuntimeError, match="closed"):
+                run(d.pool.predict("HQ/f0", np.zeros((1, 4))))
 
-    def test_slot_stats_shape(self, mp_dispatcher, fleet_traffic):
-        run(mp_dispatcher.localize(fleet_traffic[0][:8]))
-        stats = mp_dispatcher.slot_stats()
+    @pytest.mark.parametrize("seam_dispatcher", indirect=True, **BOTH_MODES)
+    def test_slot_stats_shape(self, seam_dispatcher, fleet_traffic):
+        run(seam_dispatcher.localize(fleet_traffic[0][:8]))
+        stats = seam_dispatcher.slot_stats()
         assert set(stats) == {"HQ/f0", "HQ/f1", "LAB/f0", "LAB/f1"}
+        keys = set(DispatchStats().as_dict())
         for entry in stats.values():
-            assert entry["dispatcher"]["worker"] in (0, 1)
-            assert entry["dispatcher"]["errors"] == 0
+            counters = entry["dispatcher"]
+            if seam_dispatcher.pool is None:
+                assert set(counters) == keys
+            else:
+                assert set(counters) == keys | {"worker"}
+                assert counters["worker"] in (0, 1)
+            assert counters["errors"] == 0
         total = sum(e["dispatcher"]["rows"] for e in stats.values())
         assert total >= 8
 
@@ -380,7 +410,7 @@ print(json.dumps({
 
         before = set(glob.glob("/dev/shm/repro-shm-*"))
         d = FleetDispatcher(fleet_registry, batch_window_ms=1.0, workers=2)
-        pool = d.executor
+        pool = d.pool
         created = set(glob.glob("/dev/shm/repro-shm-*")) - before
         assert created
         victim = pool._workers[0]

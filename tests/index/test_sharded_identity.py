@@ -122,17 +122,6 @@ class TestLocalizerIntegration:
         )
         assert abs(sharded.overall_mean() - plain.overall_mean()) < 0.1
 
-    def test_shard_routes_cover_batch(self, tiny_suite):
-        loc = KNNLocalizer(
-            index=IndexConfig(kind="kmeans", n_shards=6, n_probe=2)
-        ).fit(tiny_suite.train, tiny_suite.floorplan)
-        queries = tiny_suite.test_epochs[0].rssi[:25]
-        routes = loc.shard_routes(queries)
-        desc = loc.index_describe()
-        assert routes is not None and routes.shape == (25,)
-        assert (routes >= 0).all() and (routes < desc["n_shards"]).all()
-
     def test_unsharded_localizer_routes_none(self, tiny_suite):
         loc = KNNLocalizer().fit(tiny_suite.train, tiny_suite.floorplan)
-        assert loc.shard_routes(tiny_suite.test_epochs[0].rssi[:4]) is None
         assert loc.index_describe()["kind"] == "exhaustive"

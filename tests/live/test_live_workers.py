@@ -130,7 +130,7 @@ class TestWorkersSwap:
         v2 = direct_answer(registry, "HQ", 0, probe)
         assert not np.array_equal(v1, v2)
 
-        pool = dispatcher.executor
+        pool = dispatcher.pool
         victim = pool._workers[pool._owner["HQ/f0"]]
         os.kill(victim.pid, signal.SIGKILL)
         victim.process.join(timeout=10.0)
@@ -163,7 +163,7 @@ class TestWorkersSwap:
         probe = obs_scans[:8]
         v1 = direct_answer(registry, "HQ", 0, probe)
         shm_audit()
-        pool = dispatcher.executor
+        pool = dispatcher.pool
         victim = pool._workers[pool._owner["HQ/f0"]]
 
         async def go():

@@ -223,7 +223,7 @@ class TestFleetV1:
     def test_v1_429_overload_body(self, fleet_server):
         """The 429 body keeps its retry hints, structured-only."""
         from repro.api import ReproClient, ReproOverloadError
-        from repro.fleet.dispatch import FleetOverloadError
+        from repro.fleet.frontend import FleetOverloadError
 
         dispatcher = fleet_server.dispatcher
 

@@ -40,11 +40,11 @@ class TestWarmMemory:
         # The store's fit RNG is the engine's per-task seeding at
         # framework index 0 — a served model answers exactly like the
         # model the evaluation engine fits.
-        from repro.baselines.registry import make_localizer
+        from repro.baselines.registry import build_localizer
 
         store = ModelStore()
         entry = store.get_or_fit("KNN", tiny_suite, seed=3, fast=True)
-        reference = make_localizer("KNN", suite_name=tiny_suite.name, fast=True)
+        reference = build_localizer("KNN", suite_name=tiny_suite.name, fast=True)
         reference.fit(
             tiny_suite.train,
             tiny_suite.floorplan,

@@ -1,11 +1,17 @@
 #!/usr/bin/env python
 """Smoke-test `repro serve` as a real subprocess (the CI docs job).
 
-Starts the server (fast-scale KNN on the office suite), waits for the
-listening line, hits ``/healthz`` and one ``/localize`` request through
-the public :class:`repro.api.ReproClient` (also asserting the wire
-``api_version`` negotiation), then sends SIGINT and verifies the
-process exits cleanly with code 0.
+Two legs, each started as its own server process:
+
+* single model — fast-scale KNN on the office suite: ``/healthz`` and
+  one ``/localize`` through the public :class:`repro.api.ReproClient`
+  (also asserting the wire ``api_version`` negotiation);
+* fleet with worker processes — ``--fleet HQ:2 --workers 2``:
+  ``/healthz`` must report both workers alive, then one
+  ``/localize_batch`` runs the worker-pipe compute path end to end.
+
+Each leg waits for the listening line, then sends SIGINT and verifies
+the process exits with code 0 after printing ``shutdown complete``.
 
     python tools/serve_smoke.py
 """
@@ -61,7 +67,37 @@ def wait_for_port(process) -> int:
         watchdog.cancel()
 
 
-def main() -> int:
+def check_single(client: ReproClient) -> None:
+    health = client.healthz()
+    assert health["status"] == "ok", health
+    assert health["api_version"] == API_VERSION, health
+    print(f"healthz ok: {health['framework']} on {health['suite']} "
+          f"(api v{health['api_version']})")
+
+    scan = [-60.0] * health["n_aps"]
+    result = client.localize(scan)
+    assert result.location.shape == (2,), result
+    assert result.raw.get("api_version") == API_VERSION, result.raw
+    print(f"localize ok: {result.location.tolist()}")
+
+
+def check_fleet(client: ReproClient) -> None:
+    health = client.healthz()
+    assert health["status"] == "ok", health
+    workers = health["workers"]
+    assert workers["mode"] == "multi-process", workers
+    assert workers["workers"] == 2 and workers["alive"] == 2, workers
+    print(f"healthz ok: {workers['alive']}/{workers['workers']} workers alive")
+
+    scans = [[-60.0] * health["n_aps"], [-70.0] * health["n_aps"]]
+    result = client.localize_batch(scans)
+    assert result.locations.shape == (2, 2), result
+    assert len(result.routing) == 2, result.raw
+    print(f"localize_batch ok: {result.locations.tolist()}")
+
+
+def run_leg(serve_args: list[str], check) -> None:
+    """Start ``repro serve <serve_args>``, run ``check``, SIGINT it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         f"{REPO_ROOT / 'src'}{os.pathsep}{env['PYTHONPATH']}"
@@ -69,10 +105,7 @@ def main() -> int:
         else str(REPO_ROOT / "src")
     )
     process = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.cli", "serve", "office",
-            "--framework", "KNN", "--fast", "--port", "0",
-        ],
+        [sys.executable, "-m", "repro.cli", "serve", *serve_args, "--port", "0"],
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
@@ -81,19 +114,8 @@ def main() -> int:
     )
     try:
         port = wait_for_port(process)
-
         with ReproClient(port=port) as client:
-            health = client.healthz()
-            assert health["status"] == "ok", health
-            assert health["api_version"] == API_VERSION, health
-            print(f"healthz ok: {health['framework']} on {health['suite']} "
-                  f"(api v{health['api_version']})")
-
-            scan = [-60.0] * health["n_aps"]
-            result = client.localize(scan)
-            assert result.location.shape == (2,), result
-            assert result.raw.get("api_version") == API_VERSION, result.raw
-            print(f"localize ok: {result.location.tolist()}")
+            check(client)
 
         process.send_signal(signal.SIGINT)
         code = process.wait(timeout=60)
@@ -103,10 +125,18 @@ def main() -> int:
         assert code == 0, f"server exited with {code}"
         assert "shutdown complete" in remainder, "no clean-shutdown marker"
         print("clean shutdown ok")
-        return 0
     finally:
         if process.poll() is None:
             process.kill()
+
+
+def main() -> int:
+    run_leg(["office", "--framework", "KNN", "--fast"], check_single)
+    run_leg(
+        ["--fleet", "HQ:2", "--workers", "2", "--framework", "KNN", "--fast"],
+        check_fleet,
+    )
+    return 0
 
 
 if __name__ == "__main__":
