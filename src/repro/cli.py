@@ -845,8 +845,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=2.0,
         help=(
-            "how long the first queued request waits for co-batchable "
-            "traffic before dispatch (default: 2.0)"
+            "upper bound on how long rows wait behind an in-flight "
+            "batch; an idle slot dispatches on the next event-loop tick "
+            "(default: 2.0)"
         ),
     )
     p_srv.add_argument(

@@ -102,7 +102,10 @@ class FleetDispatcher:
     registry:
         The fitted fleet.
     batch_window_ms / max_batch / chunk_size:
-        Micro-batching knobs, forwarded to every slot's dispatcher.
+        Micro-batching knobs, forwarded to every slot's dispatcher. An
+        idle slot dispatches on the next loop tick; ``batch_window_ms``
+        only bounds how long rows wait behind the slot's in-flight
+        compute.
     max_pending_rows:
         Fleet-wide bound on rows admitted but not yet answered; the
         backpressure knob (``repro serve --max-pending-rows``).

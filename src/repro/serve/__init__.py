@@ -8,8 +8,8 @@ substrate into a system that serves online traffic:
   persist fitted state to disk so a restart skips the refit.
 * :class:`BatchingDispatcher` (``dispatcher.py``) — asyncio
   micro-batching: coalesce concurrent single-scan requests into one
-  ``(n, n_aps)`` ``predict_batched`` call within a configurable window,
-  bit-identical to per-request dispatch; sequential decoders (GIFT)
+  ``(n, n_aps)`` ``predict_batched`` call while a batch computes (an
+  idle dispatcher flushes on the next loop tick), bit-identical to per-request dispatch; sequential decoders (GIFT)
   fall back to ordered per-request dispatch automatically.
 * :class:`LocalizationServer` (``server.py``) — stdlib-only HTTP/JSON
   API: ``POST /localize``, ``POST /localize_batch``, ``GET /healthz``,

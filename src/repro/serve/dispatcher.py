@@ -7,9 +7,13 @@ query when driven through ``predict_batched`` on a coalesced
 block instead of n tiny ones). The :class:`BatchingDispatcher` bridges
 the two:
 
-* Requests enqueue into a pending list. The first arrival arms a flush
-  timer of ``batch_window_ms``; the batch flushes early the moment
-  ``max_batch`` rows are pending. Everything in one flush rides a
+* Batching comes from back-pressure, not from a timer. Requests
+  enqueue into a pending list. When no compute is in flight, the first
+  arrival flushes on the next event-loop tick, so a lone request never
+  waits and arrivals of the same tick still coalesce. While a compute
+  is in flight, arrivals accumulate; they flush the moment it answers,
+  once ``max_batch`` rows are pending, or when ``batch_window_ms``
+  expires, whichever comes first. Everything in one flush rides a
   single ``predict_batched`` call, then results are split back to the
   awaiting futures row-for-row.
 * Because ``BatchedLocalizer.predict`` is row-independent by contract,
@@ -98,13 +102,14 @@ class BatchingDispatcher:
         get micro-batching; sequential decoders get ordered per-request
         dispatch.
     batch_window_ms:
-        How long the first request of a batch waits for company before
-        flushing. ``0`` still coalesces arrivals of the same event-loop
-        tick. Trade-off: larger windows raise throughput under load and
-        add up to that much idle latency when traffic is sparse.
+        Upper bound on how long rows wait behind an in-flight compute
+        before they flush anyway. An idle dispatcher never waits: it
+        flushes on the next event-loop tick (coalescing only arrivals
+        of that tick), so sparse traffic pays no window. Under load the
+        window caps the queueing added when one compute outlasts it.
     max_batch:
-        Flush immediately once this many rows are pending. Bounds how
-        stale the window can let a batch get; does not split a single
+        Flush immediately once this many rows are pending, even while a
+        compute is in flight. Does not split a single
         larger-than-``max_batch`` request (use ``chunk_size`` to bound
         its memory instead).
     chunk_size:
@@ -144,7 +149,8 @@ class BatchingDispatcher:
         self.stats = DispatchStats()
         self._pending: list[tuple[np.ndarray, asyncio.Future, Trace | None, float]] = []
         self._pending_rows = 0
-        self._flush_handle: asyncio.TimerHandle | None = None
+        #: The scheduled flush: next tick when idle, the window when busy.
+        self._flush_handle: asyncio.Handle | None = None
         #: Dispatched computes not yet answered (what ``drain`` awaits).
         self._inflight: set[asyncio.Future] = set()
         self._executor: ThreadPoolExecutor | None = None
@@ -232,11 +238,14 @@ class BatchingDispatcher:
         traffic at the replacement dispatcher, then drains this one so
         requests that already hold its reference finish on the *old*
         model, then closes it. Flushes whatever is pending and waits
-        for every dispatched compute to answer.
+        for every dispatched compute to answer, until neither is left:
+        rows that arrive meanwhile, including those a delivering
+        compute flushes, are answered before this returns.
         """
-        self._flush()
-        if self._inflight:
-            await asyncio.wait(list(self._inflight))
+        while self._pending or self._inflight:
+            self._flush()
+            if self._inflight:
+                await asyncio.wait(list(self._inflight))
 
     def close(self) -> None:
         """Fail pending requests and release the inference thread."""
@@ -316,9 +325,14 @@ class BatchingDispatcher:
         if self._pending_rows >= self.max_batch:
             self._flush()
         elif self._flush_handle is None:
-            self._flush_handle = loop.call_later(
-                self.batch_window_ms / 1000.0, self._flush
-            )
+            if self._inflight:
+                # Busy: coalesce behind the running compute; _deliver
+                # flushes when it answers, the window bounds the wait.
+                self._flush_handle = loop.call_later(
+                    self.batch_window_ms / 1000.0, self._flush
+                )
+            else:
+                self._flush_handle = loop.call_soon(self._flush)
         return await fut
 
     def _flush(self) -> None:
@@ -359,6 +373,10 @@ class BatchingDispatcher:
         t_flush: float,
     ) -> None:
         self._inflight.discard(done)
+        if not self._inflight:
+            # Back-pressure released: rows that piled up behind this
+            # compute start computing before its results fan out.
+            self._flush()
         exc = done.exception()
         if exc is not None:
             self._count_errors(len(batch))

@@ -179,16 +179,27 @@ class TestClientErrors:
 
 
 class TestBackpressureOverHTTP:
-    def test_429_with_retry_hint(self, fleet_registry, fleet_traffic):
+    def test_429_with_retry_hint(
+        self, fleet_registry, fleet_traffic, monkeypatch
+    ):
         import threading
         import time
 
-        # A long batch window holds the first request's rows in flight
-        # (max_batch 256 >> 8 rows, so the flush waits the full window),
-        # making the overload deterministic for the second request.
-        dispatcher = FleetDispatcher(
-            fleet_registry, batch_window_ms=500.0, max_pending_rows=8
-        )
+        # Every slot model blocks on a gate, so the first request's rows
+        # stay in flight until the 429 has been observed; the overload
+        # is then deterministic for the second request. A batch window
+        # cannot hold them: an idle slot dispatches at once.
+        gate = threading.Event()
+        for slot in fleet_registry.slots():
+            localizer = slot.entry.localizer
+            predict = localizer.predict_batched
+
+            def gated(rows, *, _predict=predict, **kwargs):
+                assert gate.wait(timeout=30), "gate never released"
+                return _predict(rows, **kwargs)
+
+            monkeypatch.setattr(localizer, "predict_batched", gated)
+        dispatcher = FleetDispatcher(fleet_registry, max_pending_rows=8)
         srv = FleetServer(fleet_registry, dispatcher, port=0)
         handle = srv.start_background()
         try:
@@ -217,7 +228,9 @@ class TestBackpressureOverHTTP:
             assert status == 429
             assert body["max_pending_rows"] == 8
             assert body["retry_after_ms"] > 0
+            gate.set()
             thread.join(timeout=10)
+            assert not thread.is_alive()
             # The occupying request completed untouched by the rejection.
             assert first["result"][0] == 200
             # The server keeps answering once the queue drains.
@@ -227,6 +240,7 @@ class TestBackpressureOverHTTP:
             )
             assert status == 200
         finally:
+            gate.set()
             handle.shutdown()
 
     def test_unservable_batch_is_400(self, fleet_registry, fleet_traffic):
