@@ -17,9 +17,12 @@ concurrent traffic through both, gating on:
 2. **Bit-identity** — every answer from every worker count must equal
    the in-process dispatcher's bytes (the tentpole contract; boolean
    gates, never relaxed).
-3. **Shared memory** — radio maps are mapped, not copied: going from 1
-   to N workers must not grow the shared segment bytes, and closing
-   the pool must leave zero ``/dev/shm/repro-shm-*`` entries behind.
+3. **Shared memory** — every slot's model arrays (radio map, training
+   matrix, weights, index tables) live in one shared segment per slot
+   that workers map read-only; only a small pickle blob is private per
+   worker. Going from 1 to N workers must not grow the shared segment
+   bytes, and closing the pool must leave zero
+   ``/dev/shm/repro-shm-*`` entries behind.
 
 BLAS threads are pinned to 1 (before numpy loads) so measured scaling
 comes from worker *processes*, not from BLAS quietly multi-threading

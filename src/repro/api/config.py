@@ -448,7 +448,7 @@ class FleetSpec:
     #: ``None`` = the dispatcher's default (two protocol-max batches).
     max_pending_rows: int | None = None
     #: ``0`` = in-process slot execution (the default); ``N > 0`` runs
-    #: the slots in N worker processes sharing radio maps over
+    #: the slots in N worker processes sharing every model array over
     #: ``multiprocessing.shared_memory`` (answers are bit-identical).
     workers: int = 0
     #: Multiprocessing start method for worker processes (``"fork"`` /

@@ -830,8 +830,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         help=(
-            "run fleet slots in this many worker processes, radio maps "
-            "shared over shared memory; answers stay bit-identical "
+            "run fleet slots in this many worker processes, model "
+            "arrays shared over shared memory; answers stay bit-identical "
             "(default: 0 = in-process; fleet mode only)"
         ),
     )

@@ -19,8 +19,9 @@ then floor classifier, then the slot's model:
   worker processes.
 * :class:`WorkerPool` (``worker.py``) + :class:`SlotPlacement`
   (``placement.py``) — processes, placement and IPC for multi-process
-  fleets: N worker processes own slots by consistent hash and map the
-  radio maps zero-copy from shared memory (``repro serve --workers N``).
+  fleets: N worker processes own slots by consistent hash and map
+  every model array zero-copy from one shared-memory segment per slot
+  (``repro serve --workers N``).
 * :func:`run_fleet_experiment` (``experiment.py``) — routing accuracy
   and routed-vs-oracle error across the longitudinal epochs.
 * :class:`FleetServer` (``server.py``) — the HTTP/JSON front-end

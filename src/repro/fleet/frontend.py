@@ -11,8 +11,9 @@ execution modes differ only in the dispatchers' compute callable:
   on its own inference thread inside this process.
 * ``workers>=1`` — each flush is one pipe round trip
   (:meth:`~repro.fleet.worker.WorkerPool.predict`) to the worker
-  process owning the slot by consistent hash, radio maps mapped from
-  shared memory so replicas cost no extra RAM.
+  process owning the slot by consistent hash; every model array is
+  mapped read-only from the slot's shared-memory segment, so a replica
+  costs only its small private pickle blob.
 
 Every contract is mode-independent and pinned by the same tests
 against both: bounded admission with atomic 429s happens *here*, before
@@ -112,8 +113,8 @@ class FleetDispatcher:
     workers:
         ``0`` computes in-process; ``>= 1`` spawns that many worker
         processes
-        (:class:`~repro.fleet.worker.WorkerPool`) sharing the radio
-        maps through shared memory (``repro serve --workers``).
+        (:class:`~repro.fleet.worker.WorkerPool`) mapping each slot's
+        model arrays from shared memory (``repro serve --workers``).
     start_method:
         Multiprocessing start method for the worker pool; ``None``
         resolves through ``$REPRO_MP_START`` (:mod:`repro.mp`).

@@ -5,15 +5,16 @@ into the admission/routing front-end (which stays in the serving
 process) and N **worker processes** that run the actual inference. This
 module is the worker half:
 
-* :func:`build_slot_payload` strips a fitted slot's heavy reference
-  arrays (the radio map — ``KNNHead._packed`` / ``_embeddings``),
-  publishes them once via
-  :func:`~repro.kernels.publish_packed`, and pickles the remaining
-  lightweight localizer state. Shipping a slot to a worker therefore
-  costs kilobytes of pickle plus a :class:`~repro.kernels.SharedRegionHandle`;
-  the radio map itself is mapped zero-copy
-  (:func:`~repro.kernels.attach_packed`) — replicas of a hot slot cost
-  no extra RAM beyond page tables.
+* :func:`build_slot_payload` pickles a fitted slot's localizer with
+  protocol 5 and a ``buffer_callback``: every contiguous ndarray in the
+  model (radio maps, training matrices, encoder weights, index tables)
+  leaves the pickle out-of-band and is copied once into the slot's one
+  :class:`~repro.kernels.SharedArtifactRegion`. Shipping a slot to a
+  worker costs the small remaining pickle blob plus a
+  :class:`~repro.kernels.SharedRegionHandle`; :func:`rehydrate_slot`
+  unpickles over read-only slices of the segment, so every array of a
+  replica is a view over the shared pages and only the blob's objects
+  are private per worker.
 * :func:`worker_main` is the child-process entry point: rehydrate the
   assigned slots, then serve a request/response loop over a duplex
   pipe. It works under both ``fork`` and ``spawn``
@@ -53,13 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..baselines.base import BatchedLocalizer, Localizer
-from ..core.knn_head import KNNHead
-from ..kernels import (
-    AttachedRegion,
-    SharedArtifactRegion,
-    attach_packed,
-    publish_packed,
-)
+from ..kernels import AttachedRegion, SharedArtifactRegion, SharedRegionHandle
 from ..mp import mp_context
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot
 from .placement import SlotPlacement, VNODES
@@ -96,139 +91,56 @@ class WorkerCrashedError(RuntimeError):
 
 # -- slot payloads ----------------------------------------------------------
 
-#: Maximum object-graph depth when searching a localizer for KNN heads.
-#: Deepest real chain today: EnsembleLocalizer -> list -> localizer ->
-#: model -> head; 6 leaves headroom without walking unbounded graphs.
-_WALK_DEPTH = 6
-
-
-def find_knn_heads(obj: object) -> list[KNNHead]:
-    """Every :class:`KNNHead` reachable from a localizer, stable order.
-
-    Walks ``__dict__`` insertion order (which pickle preserves), so the
-    parent's walk over the original object and the worker's walk over
-    the unpickled copy enumerate heads in the same order — that pairing
-    is how shared-region handles find their heads again.
-    """
-    heads: list[KNNHead] = []
-    seen: set[int] = set()
-
-    def walk(node: object, depth: int) -> None:
-        if depth > _WALK_DEPTH or id(node) in seen:
-            return
-        seen.add(id(node))
-        if isinstance(node, KNNHead):
-            heads.append(node)
-            return
-        if isinstance(node, (list, tuple)):
-            for item in node:
-                walk(item, depth + 1)
-            return
-        if isinstance(node, dict):
-            for item in node.values():
-                walk(item, depth + 1)
-            return
-        # Only descend into this repo's objects: numpy arrays, stdlib
-        # containers-of-scalars etc. can't hold a head and some are
-        # expensive to touch.
-        if type(node).__module__.split(".")[0] == "repro":
-            state = getattr(node, "__dict__", None)
-            if state is not None:
-                for item in state.values():
-                    walk(item, depth + 1)
-
-    walk(obj, 0)
-    return heads
-
 
 @dataclass(frozen=True)
 class SlotPayload:
     """Everything a worker needs to rehydrate one slot, cheaply.
 
-    ``blob`` is the pickled localizer with each head's packed reference
-    arrays stripped; ``handles`` (one per head, in
-    :func:`find_knn_heads` order, ``None`` for unfitted heads) point at
-    the shared-memory segments holding those arrays.
+    ``blob`` is the protocol-5 pickle of the localizer without its
+    out-of-band buffers; ``region`` points at the shared segment that
+    holds those buffers, in pickling order.
     """
 
     label: str
     blob: bytes
-    handles: tuple
+    region: SharedRegionHandle
     batched: bool
 
 
 def build_slot_payload(
-    slot: FleetSlot, regions: list[SharedArtifactRegion]
-) -> SlotPayload:
-    """Publish a slot's radio maps and pickle its lightweight remainder.
+    label: str, localizer: Localizer
+) -> tuple[SlotPayload, SharedArtifactRegion]:
+    """Publish a localizer's arrays and pickle its small remainder.
 
-    Appends the owned :class:`SharedArtifactRegion` objects to
-    ``regions`` — the caller (the pool) unlinks them at shutdown. The
-    localizer is restored to its exact original state before returning;
-    publication never perturbs the parent's own serving path.
+    Returns the payload and the owned :class:`SharedArtifactRegion`;
+    the caller (the pool) unlinks the region once no payload refers to
+    it. The localizer itself is only read.
     """
-    localizer = slot.entry.localizer
-    heads = find_knn_heads(localizer)
-    handles: list = []
-    stripped: list[tuple[KNNHead, object, object]] = []
-    try:
-        for head in heads:
-            packed = getattr(head, "_packed", None)
-            if packed is None:
-                handles.append(None)
-                continue
-            region = publish_packed(packed)
-            regions.append(region)
-            handles.append(region.handle)
-            stripped.append((head, packed, head._embeddings))
-            # Detach the heavy arrays so the pickle below ships only
-            # index tables and scalars; restored in the finally.
-            head._packed = None
-            head._embeddings = None
-        blob = pickle.dumps(localizer, protocol=pickle.HIGHEST_PROTOCOL)
-    finally:
-        for head, packed, embeddings in stripped:
-            head._packed = packed
-            head._embeddings = embeddings
-    return SlotPayload(
-        label=slot.slot.label,
+    buffers: list[pickle.PickleBuffer] = []
+    blob = pickle.dumps(localizer, protocol=5, buffer_callback=buffers.append)
+    region = SharedArtifactRegion([buf.raw() for buf in buffers])
+    payload = SlotPayload(
+        label=label,
         blob=blob,
-        handles=tuple(handles),
+        region=region.handle,
         batched=isinstance(localizer, BatchedLocalizer),
     )
+    return payload, region
 
 
-def rehydrate_slot(
-    payload: SlotPayload,
-) -> tuple[Localizer, list[AttachedRegion]]:
+def rehydrate_slot(payload: SlotPayload) -> tuple[Localizer, AttachedRegion]:
     """Worker-side inverse of :func:`build_slot_payload` (zero-copy).
 
-    Returns the localizer plus the attached regions; the caller closes
-    the regions on shutdown (after dropping the localizer, whose packed
-    arrays are views into them).
+    Returns the localizer plus the attached region; the caller closes
+    the region on shutdown, after dropping the localizer, whose arrays
+    are read-only views into it.
     """
-    localizer = pickle.loads(payload.blob)
-    heads = find_knn_heads(localizer)
-    if len(heads) != len(payload.handles):
-        raise RuntimeError(
-            f"slot {payload.label!r}: rehydrated localizer has "
-            f"{len(heads)} KNN heads, payload shipped {len(payload.handles)} "
-            "handles — object graph changed between pickle and unpickle"
-        )
-    attached: list[AttachedRegion] = []
-    for head, handle in zip(heads, payload.handles):
-        if handle is None:
-            continue
-        packed, region = attach_packed(handle)
-        attached.append(region)
-        head._packed = packed
-        # Exact backends keep the float64 alias (it *is* the packed
-        # "refs" matrix, so this is a view, not a copy) — preserves the
-        # pre-seam repack fallback exactly as in-process serving does.
-        if head._backend.changes_results:
-            head._embeddings = None
-        else:
-            head._embeddings = packed.arrays.get("refs")
+    attached = payload.region.attach()
+    try:
+        localizer = pickle.loads(payload.blob, buffers=attached.buffers)
+    except BaseException:
+        attached.close()
+        raise
     return localizer, attached
 
 
@@ -268,11 +180,11 @@ def worker_main(
     counter semantics).
     """
     slots: dict[str, tuple[Localizer, SlotPayload]] = {}
-    # Attached shared-memory mappings, grouped by the slot they serve:
-    # re-adopting a slot (a hot-swap) or dropping it closes its stale
-    # mappings right away, so long-lived workers release old radio-map
-    # versions instead of holding every mapping until exit.
-    regions: dict[str, list[AttachedRegion]] = {}
+    # Each slot's attached shared-memory mapping: re-adopting a slot (a
+    # hot-swap) or dropping it closes its stale mapping right away, so
+    # long-lived workers release old model versions instead of holding
+    # every mapping until exit.
+    regions: dict[str, AttachedRegion] = {}
     metrics = MetricsRegistry()
     wid = str(worker_id)
     m_predict_seconds = metrics.histogram(
@@ -291,23 +203,21 @@ def worker_main(
         ("slot", "worker"),
     )
 
-    def release(label: str, stale_slot, stale_regions: list[AttachedRegion]) -> None:
-        # The old localizer's packed arrays are views into the stale
-        # mappings; drop it first so close() finds no exported buffers.
+    def release(stale_slot, stale_region: AttachedRegion | None) -> None:
+        # The old localizer's arrays are views into the stale mapping;
+        # drop it first so close() finds no exported buffers.
         del stale_slot
-        for region in stale_regions:
-            with contextlib.suppress(BufferError):
-                region.close()
-        del label
+        if stale_region is not None:
+            stale_region.close()
 
     def adopt(new_payloads: list[SlotPayload]) -> list[str]:
         for payload in new_payloads:
             localizer, attached = rehydrate_slot(payload)
             stale_slot = slots.pop(payload.label, None)
-            stale_regions = regions.pop(payload.label, [])
+            stale_region = regions.pop(payload.label, None)
             slots[payload.label] = (localizer, payload)
             regions[payload.label] = attached
-            release(payload.label, stale_slot, stale_regions)
+            release(stale_slot, stale_region)
         return sorted(slots)
 
     try:
@@ -350,7 +260,7 @@ def worker_main(
                 value = adopt(args)
             elif op == "drop":
                 for label in args:
-                    release(label, slots.pop(label, None), regions.pop(label, []))
+                    release(slots.pop(label, None), regions.pop(label, None))
                 value = sorted(slots)
             elif op == "metrics":
                 value = metrics.snapshot()
@@ -368,10 +278,8 @@ def worker_main(
     # Views into the shared segments die with the localizers; close the
     # mappings afterwards so /dev/shm refcounts drop promptly.
     slots.clear()
-    for attached in regions.values():
-        for region in attached:
-            with contextlib.suppress(BufferError):
-                region.close()
+    for region in regions.values():
+        region.close()
     regions.clear()
     conn.close()
 
@@ -424,13 +332,13 @@ class _Worker:
 
 
 class WorkerPool:
-    """N worker processes serving fleet slots from shared radio maps.
+    """N worker processes serving fleet slots from shared models.
 
     Owns processes, placement and IPC only: each slot's
     :class:`~repro.serve.dispatcher.BatchingDispatcher` in the fleet
     front-end coalesces requests and calls :meth:`predict` once per
-    flush. Construction publishes every slot's packed reference arrays into
-    shared memory, spawns the workers and blocks until all of them
+    flush. Construction publishes every slot's arrays into one shared
+    segment per slot, spawns the workers and blocks until all of them
     report ready — the pool never serves from cold workers.
 
     Parameters
@@ -463,23 +371,11 @@ class WorkerPool:
         self.chunk_size = chunk_size
         self._ctx = mp_context(start_method)
         self._vnodes = int(vnodes)
-        self._regions: list[SharedArtifactRegion] = []
-        #: Which published segments back each slot's *current* payload —
-        #: a hot-swap unlinks exactly the replaced slot's old segments.
-        self._slot_regions: dict[str, list[SharedArtifactRegion]] = {}
+        #: The published segment behind each slot's *current* payload —
+        #: a hot-swap unlinks exactly the replaced slot's old segment.
+        self._slot_regions: dict[str, SharedArtifactRegion] = {}
         self._payloads: dict[str, SlotPayload] = {}
-        for slot in registry.slots():
-            slot_regions: list[SharedArtifactRegion] = []
-            self._payloads[slot.slot.label] = build_slot_payload(
-                slot, slot_regions
-            )
-            self._slot_regions[slot.slot.label] = slot_regions
-            self._regions.extend(slot_regions)
-        self._labels = list(self._payloads)
         self._placement = SlotPlacement(workers, vnodes=self._vnodes)
-        self._owner: dict[str, int] = {
-            label: self._placement.worker_for(label) for label in self._labels
-        }
         self._req_ids = itertools.count(1)
         self._inflight: dict[int, _Inflight] = {}
         self._lock = threading.Lock()
@@ -487,6 +383,16 @@ class WorkerPool:
         self._closed = False
         self._workers: dict[int, _Worker] = {}
         try:
+            for slot in registry.slots():
+                label = slot.slot.label
+                self._payloads[label], self._slot_regions[label] = (
+                    build_slot_payload(label, slot.entry.localizer)
+                )
+            self._labels = list(self._payloads)
+            self._owner: dict[str, int] = {
+                label: self._placement.worker_for(label)
+                for label in self._labels
+            }
             for worker_id, labels in self._placement.assign(
                 self._labels
             ).items():
@@ -579,7 +485,7 @@ class WorkerPool:
         try:
             # Warm respawn: the payload bundle (pickles + shared-memory
             # handles) is retained parent-side and the segments are
-            # still linked, so the replacement maps the same radio maps
+            # still linked, so the replacement maps the same model pages
             # and is ready without refitting or re-publication.
             labels = [
                 label
@@ -763,14 +669,14 @@ class WorkerPool:
     # -- hot-swap ----------------------------------------------------------
 
     async def swap_slot(self, slot: FleetSlot) -> None:
-        """Republish one slot's radio map and re-adopt it on its owner.
+        """Republish one slot's model and re-adopt it on its owner.
 
         The multi-process half of a live hot-swap, zero dropped
         requests by protocol order:
 
-        1. Publish the new model's packed arrays into fresh shared
-           segments and pickle the new payload (off the loop — the old
-           version keeps serving).
+        1. Publish the new model's arrays into a fresh shared segment
+           and pickle the new payload (off the loop — the old version
+           keeps serving).
         2. Update the retained payload bundle *before* sending the
            ``adopt``: if the owner crashes mid-swap, its warm respawn
            rehydrates from ``_payloads`` and lands on the **new**
@@ -779,7 +685,7 @@ class WorkerPool:
            every predict sent before the adopt is answered by the old
            model first; the adopt itself closes the worker's stale
            mappings.
-        4. Unlink the replaced segments — the single parent-side
+        4. Unlink the replaced segment — the single parent-side
            release point, same discipline as ``close()``.
         """
         if self._closed:
@@ -788,14 +694,12 @@ class WorkerPool:
         if label not in self._payloads:
             raise KeyError(f"unknown slot {label!r}")
         loop = asyncio.get_running_loop()
-        new_regions: list[SharedArtifactRegion] = []
-        payload = await loop.run_in_executor(
-            None, build_slot_payload, slot, new_regions
+        payload, region = await loop.run_in_executor(
+            None, build_slot_payload, label, slot.entry.localizer
         )
-        old_regions = self._slot_regions.get(label, [])
+        old_region = self._slot_regions[label]
         self._payloads[label] = payload
-        self._slot_regions[label] = new_regions
-        self._regions.extend(new_regions)
+        self._slot_regions[label] = region
         worker = self._workers[self._owner[label]]
         try:
             await self._request(worker, "adopt", [payload])
@@ -814,9 +718,7 @@ class WorkerPool:
                 # started after the bundle update and reads the new
                 # version — nothing left to adopt.
                 pass
-        for region in old_regions:
-            region.unlink()
-            self._regions.remove(region)
+        old_region.unlink()
 
     # -- topology change ---------------------------------------------------
 
@@ -935,9 +837,9 @@ class WorkerPool:
         # Owner-side unlink: removes the /dev/shm entries. Workers only
         # ever close() their mappings, so this is the single release
         # point the leak test audits.
-        for region in self._regions:
+        for region in self._slot_regions.values():
             region.unlink()
-        self._regions.clear()
+        self._slot_regions.clear()
 
     # -- introspection -----------------------------------------------------
 
@@ -974,7 +876,9 @@ class WorkerPool:
             "mode": "multi-process",
             "start_method": self._ctx.get_start_method(),
             "placement": self._placement.describe(),
-            "shared_segments": len(self._regions),
-            "shared_bytes": int(sum(r.nbytes for r in self._regions)),
+            "shared_segments": len(self._slot_regions),
+            "shared_bytes": int(
+                sum(r.nbytes for r in self._slot_regions.values())
+            ),
             "workers": self.worker_stats(),
         }

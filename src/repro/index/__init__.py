@@ -12,8 +12,8 @@ Public surface:
   partitioners, exposed for tests and custom indexes.
 """
 
+from ..kernels.reference import squared_distances
 from .config import EXHAUSTIVE, INDEX_KINDS, IndexConfig, index_tag
-from .distance import squared_distances
 from .partitioners import kmeans_partition, region_partition
 from .sharded import (
     CandidateIndex,

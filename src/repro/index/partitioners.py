@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..geometry.floorplan import Floorplan
-from .distance import squared_distances
+from ..kernels.reference import squared_distances
 
 
 def _grid_dims(n_shards: int, width: float, height: float) -> tuple[int, int]:

@@ -32,8 +32,8 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..geometry.floorplan import Floorplan
+from ..kernels.reference import squared_distances
 from .config import IndexConfig
-from .distance import squared_distances
 from .partitioners import kmeans_partition, region_partition
 
 

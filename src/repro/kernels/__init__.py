@@ -10,9 +10,10 @@ Public surface:
   :func:`available_backends` / :func:`canonical_backend_name` — the
   registry.
 * :func:`backend_changes_results` — the fingerprint-participation rule.
-* :class:`SharedArtifactRegion` / :func:`publish_packed` /
-  :func:`attach_packed` — zero-copy shared-memory publication of packed
-  reference tables (the multi-process fleet's radio-map transport).
+* :class:`SharedArtifactRegion` / :class:`SharedRegionHandle` — one
+  shared-memory segment per fleet slot holding every out-of-band
+  buffer of the slot's pickled model (the multi-process fleet's model
+  transport; workers rebuild the arrays as read-only views).
 
 Registered backends:
 
@@ -46,8 +47,6 @@ from .shared import (
     AttachedRegion,
     SharedArtifactRegion,
     SharedRegionHandle,
-    attach_packed,
-    publish_packed,
 )
 
 register_backend(ReferenceBackend())
@@ -67,12 +66,10 @@ __all__ = [
     "ReferenceBackend",
     "SharedArtifactRegion",
     "SharedRegionHandle",
-    "attach_packed",
     "available_backends",
     "backend_changes_results",
     "canonical_backend_name",
     "get_backend",
-    "publish_packed",
     "register_backend",
     "resolve_backend",
     "resolve_backend_name",

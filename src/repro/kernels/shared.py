@@ -1,68 +1,77 @@
-"""Shared-memory publication of packed reference tables.
+"""Shared-memory publication of a model's out-of-band pickle buffers.
 
 The multi-process fleet wants N worker processes to serve replicas of
-the same deployment slots without paying N copies of the radio maps —
-the packed reference matrices are by far the largest per-slot artifact
-(what caps fleet density per host). This module is the zero-copy seam:
+the same deployment slots without paying N copies of the models. The
+fleet pickles each slot's localizer with protocol 5 and a
+``buffer_callback``, so every contiguous ndarray it holds (radio maps,
+training matrices, encoder weights, index tables) leaves the pickle as
+a raw buffer. This module is where those buffers live:
 
-* :class:`SharedArtifactRegion` copies a named set of ndarrays into
-  **one** ``multiprocessing.shared_memory`` segment (one page-aligned
-  region per slot, not one segment per array — /dev/shm entries stay
-  countable) and hands out a picklable :class:`SharedRegionHandle`.
+* :class:`SharedArtifactRegion` copies a sequence of byte buffers into
+  **one** ``multiprocessing.shared_memory`` segment (one region per
+  slot, not one segment per array — /dev/shm entries stay countable)
+  and hands out a picklable :class:`SharedRegionHandle`.
 * A worker process calls :meth:`SharedRegionHandle.attach` and gets the
-  same arrays back as **views over the shared buffer** — no copy, no
-  extra RAM beyond page tables, under both ``fork`` and ``spawn``.
-* :func:`publish_packed` / :func:`attach_packed` specialize the region
-  to a :class:`~repro.kernels.base.PackedReferences`: the attached
-  object is a drop-in for the original one (``KNNHead`` never knows its
-  reference matrix lives in shared memory).
+  same buffers back as **read-only memoryview slices** of the segment,
+  ready for ``pickle.loads(blob, buffers=...)`` — NumPy rebuilds every
+  array as a view over the shared pages, with no copy under both
+  ``fork`` and ``spawn``.
 
 Lifecycle is owner-driven: the publishing process (the fleet front-end)
 calls :meth:`SharedArtifactRegion.unlink` on shutdown, which removes
 the ``/dev/shm`` entry; workers only ever ``close()`` their mappings.
-Attached arrays are marked read-only — a worker scribbling on a shared
-radio map would corrupt every replica at once.
+Attached buffers are read-only — a worker scribbling on a shared model
+would corrupt every replica at once.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import secrets
 from dataclasses import dataclass
-from multiprocessing import shared_memory
-
-import numpy as np
-
-from .base import PackedReferences
+from multiprocessing import resource_tracker, shared_memory
 
 #: Every segment this repo creates is named with this prefix, so tests
 #: (and operators) can audit /dev/shm for leaks unambiguously.
 SEGMENT_PREFIX = "repro-shm-"
 
 
-@dataclass(frozen=True)
-class _ArraySpec:
-    """Placement of one ndarray inside the region's flat buffer."""
+def _hold_tracker_lock_across_fork() -> None:
+    """Never fork while another thread is inside the resource tracker.
 
-    key: str
-    dtype: str
-    shape: tuple
-    offset: int
-    nbytes: int
+    Creating, attaching and unlinking a segment all talk to the
+    resource tracker under its lock, and drop the GIL mid-write. A
+    thread forking a fleet worker at that moment (a crash respawn does,
+    from a pipe-reader thread) would hand the child a lock no thread
+    will ever release, and the child's own attach would block forever.
+    Holding the lock across every fork closes that window.
+    """
+    lock = resource_tracker._resource_tracker._lock
+    os.register_at_fork(
+        before=lock.acquire,
+        after_in_parent=lock.release,
+        after_in_child=lock.release,
+    )
+
+
+if hasattr(os, "register_at_fork"):  # POSIX: the only place fork exists
+    _hold_tracker_lock_across_fork()
 
 
 @dataclass(frozen=True)
 class SharedRegionHandle:
-    """Picklable address of a published region (ship it to workers)."""
+    """Picklable address of a published region (ship it to workers).
+
+    ``extents`` holds one ``(offset, nbytes)`` pair per published
+    buffer, in publication order.
+    """
 
     segment: str
-    arrays: tuple
-    #: Extra picklable metadata riding along (e.g. PackedReferences
-    #: backend/shape fields); never placed in shared memory itself.
-    meta: dict | None = None
+    extents: tuple
 
     def attach(self) -> AttachedRegion:
-        """Map the segment and rebuild the arrays as zero-copy views.
+        """Map the segment and slice it back into read-only buffers.
 
         Attaching registers the name with the resource tracker again,
         which is harmless dedup here: fleet workers are multiprocessing
@@ -74,70 +83,54 @@ class SharedRegionHandle:
         layer never creates.
         """
         shm = shared_memory.SharedMemory(name=self.segment)
-        arrays: dict[str, np.ndarray] = {}
-        for spec in self.arrays:
-            view = np.ndarray(
-                spec.shape,
-                dtype=np.dtype(spec.dtype),
-                buffer=shm.buf[spec.offset : spec.offset + spec.nbytes],
-            )
-            # Read-only: replicas share these pages; a write in one
-            # worker would silently corrupt every other replica.
-            view.flags.writeable = False
-            arrays[spec.key] = view
-        return AttachedRegion(shm=shm, arrays=arrays, meta=self.meta)
+        # Read-only: replicas share these pages; a write in one worker
+        # would silently corrupt every other replica.
+        view = shm.buf.toreadonly()
+        buffers = [view[offset : offset + n] for offset, n in self.extents]
+        return AttachedRegion(shm=shm, buffers=buffers)
 
 
 @dataclass
 class AttachedRegion:
-    """A worker-side mapping: arrays viewing one shared segment."""
+    """A worker-side mapping: buffers slicing one shared segment."""
 
     shm: shared_memory.SharedMemory
-    arrays: dict
-    meta: dict | None = None
+    buffers: list
 
     def close(self) -> None:
         """Drop this process's mapping (the segment itself lives on).
 
-        The array views must not be used afterwards; drop references to
-        them first (the views hold the buffer alive through numpy's
-        exports, so closing with live views raises ``BufferError``).
+        Objects rebuilt over the buffers must not be used afterwards;
+        drop references to them first (their arrays hold the mapping
+        alive, so closing under a live view leaves it to the last
+        reference's release).
         """
-        self.arrays = {}
+        self.buffers = []
         with contextlib.suppress(BufferError):  # pragma: no cover - live view
             self.shm.close()
 
 
 class SharedArtifactRegion:
-    """Owner side: one shared segment holding a named set of ndarrays.
+    """Owner side: one shared segment holding a sequence of buffers.
 
-    Construct with ``arrays`` (copied in once, 64-byte aligned) and ship
-    :attr:`handle` to any number of worker processes. The owner — and
-    only the owner — calls :meth:`unlink` when the fleet shuts down.
+    Construct with ``buffers`` (any C-contiguous buffer objects, copied
+    in once, 64-byte aligned) and ship :attr:`handle` to any number of
+    worker processes. The owner — and only the owner — calls
+    :meth:`unlink` when the fleet shuts down.
     """
 
-    #: Alignment of each array inside the region; keeps SIMD loads over
+    #: Alignment of each buffer inside the region; keeps SIMD loads over
     #: the shared views on the same fast path as private allocations.
     ALIGN = 64
 
-    def __init__(self, arrays: dict, *, meta: dict | None = None) -> None:
-        specs: list[_ArraySpec] = []
+    def __init__(self, buffers) -> None:
+        views = [memoryview(buf).cast("B") for buf in buffers]
+        extents: list[tuple[int, int]] = []
         offset = 0
-        normalized: dict[str, np.ndarray] = {}
-        for key, value in arrays.items():
-            arr = np.ascontiguousarray(value)
+        for view in views:
             offset = -(-offset // self.ALIGN) * self.ALIGN
-            specs.append(
-                _ArraySpec(
-                    key=key,
-                    dtype=arr.dtype.str,
-                    shape=tuple(int(s) for s in arr.shape),
-                    offset=offset,
-                    nbytes=int(arr.nbytes),
-                )
-            )
-            normalized[key] = arr
-            offset += arr.nbytes
+            extents.append((offset, view.nbytes))
+            offset += view.nbytes
         name = SEGMENT_PREFIX + secrets.token_hex(8)
         # size=0 is invalid; an all-empty region still needs one byte.
         # The owner stays registered with the resource tracker: if the
@@ -146,16 +139,9 @@ class SharedArtifactRegion:
         self.shm = shared_memory.SharedMemory(
             create=True, name=name, size=max(offset, 1)
         )
-        for spec in specs:
-            dst = np.ndarray(
-                spec.shape,
-                dtype=np.dtype(spec.dtype),
-                buffer=self.shm.buf[spec.offset : spec.offset + spec.nbytes],
-            )
-            dst[...] = normalized[spec.key]
-        self.handle = SharedRegionHandle(
-            segment=name, arrays=tuple(specs), meta=meta
-        )
+        for (start, n), view in zip(extents, views):
+            self.shm.buf[start : start + n] = view
+        self.handle = SharedRegionHandle(segment=name, extents=tuple(extents))
         self._unlinked = False
 
     @property
@@ -174,54 +160,3 @@ class SharedArtifactRegion:
         # clean shutdown leaves no exit-time sweep work behind.
         with contextlib.suppress(FileNotFoundError):  # pragma: no cover
             self.shm.unlink()
-
-
-def publish_packed(packed: PackedReferences) -> SharedArtifactRegion:
-    """Publish a :class:`PackedReferences`' arrays into shared memory.
-
-    Non-ndarray entries in ``packed.arrays`` (scalar decode parameters
-    of the quantized backend, say) ride in the handle's ``meta`` —
-    pickled per worker, which is fine because they are tiny.
-    """
-    ndarrays = {
-        k: v for k, v in packed.arrays.items() if isinstance(v, np.ndarray)
-    }
-    scalars = {
-        k: v for k, v in packed.arrays.items() if not isinstance(v, np.ndarray)
-    }
-    return SharedArtifactRegion(
-        ndarrays,
-        meta={
-            "kind": "packed_references",
-            "backend": packed.backend,
-            "n_rows": packed.n_rows,
-            "n_dims": packed.n_dims,
-            "scalars": scalars,
-        },
-    )
-
-
-def attach_packed(
-    handle: SharedRegionHandle,
-) -> tuple[PackedReferences, AttachedRegion]:
-    """Rebuild a :class:`PackedReferences` over a worker-side mapping.
-
-    Returns the packed object *and* the region so the caller can
-    ``close()`` the mapping on shutdown (the packed arrays are views —
-    they must not outlive the region).
-    """
-    meta = handle.meta or {}
-    if meta.get("kind") != "packed_references":
-        raise ValueError(
-            "handle does not describe a PackedReferences region"
-        )
-    region = handle.attach()
-    arrays = dict(region.arrays)
-    arrays.update(meta.get("scalars", {}))
-    packed = PackedReferences(
-        backend=meta["backend"],
-        n_rows=meta["n_rows"],
-        n_dims=meta["n_dims"],
-        arrays=arrays,
-    )
-    return packed, region

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.core.knn_head import KNNHead
 from repro.index import IndexConfig
-from repro.index.distance import squared_distances
 from repro.kernels import (
     BACKEND_ENV_VAR,
     KernelBackend,
@@ -38,6 +37,7 @@ from repro.kernels import (
     resolve_backend,
     resolve_backend_name,
 )
+from repro.kernels.reference import squared_distances
 
 #: Same envelopes as ``benchmarks/bench_kernels.py`` — relative to the
 #: mean reference neighbour distance.
