@@ -11,7 +11,9 @@ Four measurements, printed as one report:
    ``blas`` speedup.
 2. **Bit-identity gate** — ``blas64`` must reproduce the reference
    ``kneighbors`` distances *and* indices byte-for-byte, and the fused
-   encoder forward must equal the layer-by-layer pass exactly.
+   encoder forward must equal the layer-by-layer pass exactly. Its
+   speedup (``encoder_forward_speedup``) is Conv2D+ReLU and Dense+ReLU
+   fusion alone: both sides share the same im2col and gemms.
 3. **Bounded-error gates** — ``blas``/``quantized`` neighbour
    distances must stay within their error envelopes of reference
    (float32 rounding noise vs. int8 code-space error).
@@ -150,7 +152,12 @@ def bench_identity_and_error(
 
 
 def bench_encoder_forward(*, n_images: int, seed: int) -> tuple[float, bool]:
-    """Fused dense forward vs. the plain pass: speedup + bit-identity."""
+    """Fused Conv2D/Dense(+ReLU) forward vs. the plain pass.
+
+    Returns the speedup and whether the outputs are bit-identical. Both
+    passes share im2col and the gemms, so the speedup is the fusion's
+    saved temporaries and copies only.
+    """
     rng = np.random.default_rng(seed)
     model = build_encoder(8, EncoderConfig(embedding_dim=10), rng=rng)
     x = rng.random((n_images, 1, 8, 8)).astype(np.float32)
@@ -160,9 +167,9 @@ def bench_encoder_forward(*, n_images: int, seed: int) -> tuple[float, bool]:
     t_plain = timeit(lambda: model.predict(x))
     t_fused = timeit(lambda: model.predict(x, backend="blas"))
     speedup = t_plain / t_fused if t_fused > 0 else float("inf")
-    print(f"\n== encoder forward ({n_images} images) ==")
+    print(f"\n== encoder forward, Conv2D+Dense(+ReLU) fusion ({n_images} images) ==")
     print(
-        f"plain {t_plain * 1e3:.1f}ms / fused {t_fused * 1e3:.1f}ms "
+        f"plain {t_plain * 1e3:.1f}ms / conv+dense fused {t_fused * 1e3:.1f}ms "
         f"({speedup:.2f}x); bit-identical: {identical}"
     )
     return speedup, identical

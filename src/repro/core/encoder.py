@@ -110,9 +110,10 @@ def embed(
     """Inference-mode embeddings for a batch of fingerprint images.
 
     ``backend`` names a :mod:`repro.kernels` backend whose fused
-    ``dense_forward`` runs the encoder's dense(+ReLU) tail; ``None``
-    keeps the plain layer-by-layer pass (identical floats either way —
-    see :meth:`repro.nn.model.Sequential.predict`).
+    ``conv2d_forward`` and ``dense_forward`` run the encoder's
+    Conv2D(+ReLU) and Dense(+ReLU) layers; ``None`` keeps the plain
+    layer-by-layer pass (identical floats either way — see
+    :meth:`repro.nn.model.Sequential.predict`).
     """
     return model.predict(
         np.asarray(images, dtype=np.float32),

@@ -60,7 +60,7 @@ class StoneLocalizer(BatchedLocalizer):
         #: from the embedded offline fingerprints at every (re)fit.
         self.index_config = index
         #: Kernel backend for the embedding distance path AND the
-        #: encoder's fused dense forward (:mod:`repro.kernels`).
+        #: encoder's fused conv and dense forwards (:mod:`repro.kernels`).
         self.backend = backend
         self.knn = KNNHead(
             k=self.config.knn_k,

@@ -1,11 +1,12 @@
 """The kernel-backend seam: one contract for every distance/encoder hot path.
 
-Every scale claim in this repo bottoms out in two inner loops — the
-squared-Euclidean distance kernel behind :class:`~repro.core.knn_head.KNNHead`
-and the dense forward inside :meth:`~repro.nn.model.Sequential.predict`.
-A :class:`KernelBackend` owns both, so the *representation* of a radio
-map (float64, packed float32, int8 codes) and the arithmetic over it
-can change without touching any search or serving logic.
+Every scale claim in this repo bottoms out in two kinds of inner loop —
+the squared-Euclidean distance kernel behind
+:class:`~repro.core.knn_head.KNNHead`, and the encoder's dense and
+convolution forwards inside :meth:`~repro.nn.model.Sequential.predict`.
+A :class:`KernelBackend` owns all of them, so the *representation* of a
+radio map (float64, packed float32, int8 codes) and the arithmetic over
+it can change without touching any search or serving logic.
 
 The contract has two tiers, mirroring the house bit-identity invariant:
 
@@ -68,7 +69,7 @@ class PackedReferences:
 
 
 class KernelBackend(ABC):
-    """Distance + dense-forward kernels over one data representation."""
+    """Distance, dense-forward and conv-forward kernels over one representation."""
 
     #: Registry name (canonical, lowercase).
     name: str = "abstract"
@@ -120,6 +121,20 @@ class KernelBackend(ABC):
         if fuse_relu:
             y = y * (y > 0)
         return y
+
+    def conv2d_forward(self, x: np.ndarray, layer, *, fuse_relu: bool = False):
+        """Inference forward of one Conv2D layer, optionally fused with ReLU.
+
+        im2col, one gemm, bias added in place, then ReLU applied in place
+        on the gemm output before the one copy to NCHW — the same floats
+        as ``Conv2D.forward`` followed by ``ReLU.forward`` (``y *= y > 0``
+        is the ReLU layer's ``x * (x > 0)``), without the ReLU layer's
+        separate output array. Every backend shares this implementation.
+        """
+        y, _ = layer.forward_nhwc(x)
+        if fuse_relu:
+            y *= y > 0
+        return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
 
     # -- reporting ---------------------------------------------------------
 

@@ -5,6 +5,10 @@ Data layout is NCHW (batch, channels, height, width); kernels are
 stride 1 on small (<= 14x14) fingerprint images, so im2col's memory
 overhead is negligible and the matmul formulation is by far the fastest
 pure-NumPy approach.
+
+:func:`im2col` and its adjoint :func:`col2im` both loop over the
+``KH * KW`` kernel offsets and move one strided ``(N, C, OH, OW)`` slice
+per offset, so the per-element work stays in NumPy's copy loops.
 """
 
 from __future__ import annotations
@@ -71,20 +75,26 @@ def im2col(
 ) -> tuple[np.ndarray, tuple[int, int]]:
     """Unfold NCHW input into a (N*OH*OW, C*KH*KW) matrix of patches.
 
-    Implemented with ``stride_tricks.sliding_window_view`` so the heavy
-    lifting stays inside NumPy C code.
+    Columns are ordered ``(c, kh, kw)``, matching a row of the
+    ``(O, C, KH, KW)`` kernel reshaped to ``(O, C*KH*KW)``. The float32
+    result is filled in a preallocated ``(N, OH, OW, C, KH, KW)`` buffer
+    with one strided slice copy per kernel offset.
     """
     n, c, h, w = x.shape
     kh, kw = kernel
     sh, sw = stride
     ph, pw = pad
+    oh, ow = conv_output_hw((h, w), kernel, stride, pad)
     if ph or pw:
         x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
-    oh, ow = conv_output_hw((h, w), kernel, stride, pad)
-    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
-    windows = windows[:, :, ::sh, ::sw, :, :]  # (N, C, OH, OW, KH, KW)
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols, dtype=DTYPE), (oh, ow)
+    cols = np.empty((n, oh, ow, c, kh, kw), dtype=DTYPE)
+    x_nhwc = x.transpose(0, 2, 3, 1)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, :, :, i, j] = x_nhwc[
+                :, i : i + sh * oh : sh, j : j + sw * ow : sw, :
+            ]
+    return cols.reshape(n * oh * ow, c * kh * kw), (oh, ow)
 
 
 def col2im(
@@ -176,19 +186,27 @@ class Conv2D(Layer):
         rng: np.random.Generator | None = None,
     ) -> tuple[np.ndarray, Cache]:
         del training, rng
+        y, cols = self.forward_nhwc(x)
+        out = np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+        return out, (cols, x.shape, y.shape[1:3])
+
+    def forward_nhwc(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """im2col, one gemm, bias added in place: ``(N, OH, OW, O)`` output.
+
+        Also returns the patch matrix, which the backward pass reuses.
+        :meth:`forward` is this plus the transpose to NCHW.
+        """
+        x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"{self.name}: expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        x = np.ascontiguousarray(x, dtype=DTYPE)
-        n = x.shape[0]
         cols, (oh, ow) = im2col(x, self.kernel_size, self.stride, self.pad)
         w_mat = self.params["W"].reshape(self.out_channels, -1)  # (O, C*KH*KW)
         out = cols @ w_mat.T  # (N*OH*OW, O)
         if self.use_bias:
-            out = out + self.params["b"]
-        y = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-        return np.ascontiguousarray(y), (cols, x.shape, (oh, ow))
+            out += self.params["b"]
+        return out.reshape(x.shape[0], oh, ow, self.out_channels), cols
 
     def backward(
         self, dy: np.ndarray, cache: Cache

@@ -23,7 +23,8 @@ class Flatten(Layer):
     ) -> tuple[np.ndarray, Cache]:
         del training, rng
         x = np.asarray(x, dtype=DTYPE)
-        return x.reshape(x.shape[0], -1), x.shape
+        # An explicit width, not -1: a zero-row batch cannot infer it.
+        return x.reshape(x.shape[0], int(np.prod(x.shape[1:]))), x.shape
 
     def backward(
         self, dy: np.ndarray, cache: Cache

@@ -98,12 +98,13 @@ class Sequential:
         chunk's activations plus the result, never 2x the result.
 
         ``backend`` (a :mod:`repro.kernels` backend name or instance)
-        routes every ``Dense`` layer — and a directly following
-        ``ReLU`` — through the backend's fused ``dense_forward``.
-        ``None`` keeps the layer-by-layer path. The fusion reuses the
-        gemm output buffer for bias and activation, so it is bitwise
-        identical to the unfused pass (``y + b`` and ``y += b`` produce
-        the same floats; ``ReLU`` is ``x * (x > 0)`` in both).
+        routes every ``Dense`` layer through the backend's
+        ``dense_forward`` and every ``Conv2D`` layer through its
+        ``conv2d_forward``, each fused with a directly following
+        ``ReLU``. ``None`` keeps the layer-by-layer path. The fusion
+        reuses the gemm output buffer for bias and activation, so it is
+        bitwise identical to the unfused pass (``y + b`` and ``y += b``
+        produce the same floats; ``ReLU`` is ``x * (x > 0)`` in both).
         """
         x = np.asarray(x, dtype=DTYPE)
         if backend is not None:
@@ -124,7 +125,7 @@ class Sequential:
         return out
 
     def _predict_block(self, x: np.ndarray, backend: Any | None) -> np.ndarray:
-        """One inference block, optionally Dense(+ReLU)-fused via ``backend``."""
+        """One inference block, Dense/Conv2D(+ReLU)-fused via ``backend``."""
         if backend is None:
             return self.forward(x, training=False)[0]
         out = np.asarray(x, dtype=DTYPE)
@@ -133,12 +134,12 @@ class Sequential:
             if skip_next:
                 skip_next = False
                 continue
+            fuse = idx + 1 < len(self.layers) and type(self.layers[idx + 1]) is ReLU
             if isinstance(layer, Dense):
-                fuse = (
-                    idx + 1 < len(self.layers)
-                    and type(self.layers[idx + 1]) is ReLU
-                )
                 out = backend.dense_forward(out, layer, fuse_relu=fuse)
+                skip_next = fuse
+            elif isinstance(layer, Conv2D):
+                out = backend.conv2d_forward(out, layer, fuse_relu=fuse)
                 skip_next = fuse
             else:
                 out, _ = layer.forward(out, training=False)

@@ -71,6 +71,20 @@ class TestStoneLocalizer:
         emb = stone.embed_rssi(train.rssi[:6])
         np.testing.assert_allclose(np.linalg.norm(emb, axis=1), 1.0, rtol=1e-5)
 
+    @pytest.mark.parametrize("backend", [None, "blas"])
+    def test_zero_row_inference(self, backend):
+        train = make_synthetic_dataset(n_rps=4, fpr=3, n_aps=10, seed=7)
+        fp = build_grid_floorplan("t", width=8, height=6, rp_spacing=2.0, margin=1.0)
+        stone = StoneLocalizer(StoneConfig(**FAST, seed=3), backend=backend)
+        stone.fit(train, fp, rng=np.random.default_rng(3))
+        empty = np.empty((0, train.rssi.shape[1]))
+        dim = stone.config.encoder.embedding_dim
+        assert stone.embed_rssi(empty).shape == (0, dim)
+        assert stone.predict_rp(empty).shape == (0,)
+        assert stone.predict(empty).shape == (0, 2)
+        images = stone.preprocessor.transform(empty)
+        assert stone.encoder.predict(images, backend=backend).shape == (0, dim)
+
     def test_predict_before_fit_rejected(self):
         stone = StoneLocalizer(StoneConfig(**FAST))
         with pytest.raises(RuntimeError):

@@ -38,6 +38,7 @@ from repro.kernels import (
     resolve_backend_name,
 )
 from repro.kernels.reference import squared_distances
+from repro.nn import Conv2D, Dense, ReLU
 
 #: Same envelopes as ``benchmarks/bench_kernels.py`` — relative to the
 #: mean reference neighbour distance.
@@ -317,23 +318,45 @@ class TestBoundedError:
         assert heads["quantized"].packed_nbytes < heads["reference"].packed_nbytes
 
 
-class TestDenseForwardContract:
-    @pytest.mark.parametrize("name", ALL_BACKENDS)
-    def test_fused_relu_matches_layer_arithmetic(self, name):
-        from repro.nn import Dense, ReLU
+#: Layers behind the fused forwards. Dense keeps the bare backend id.
+FORWARD_CASES = {
+    "": lambda rng: (Dense(20, 12, rng=rng), (16, 20)),
+    "conv": lambda rng: (Conv2D(3, 8, (2, 2), rng=rng), (5, 3, 7, 7)),
+    "conv-s2-same": lambda rng: (
+        Conv2D(3, 8, (3, 3), stride=2, padding="same", rng=rng),
+        (5, 3, 8, 8),
+    ),
+}
 
+
+class TestDenseForwardContract:
+    @pytest.mark.parametrize(
+        ("name", "case"),
+        [
+            pytest.param(name, case, id="-".join(filter(None, (name, case))))
+            for name in ALL_BACKENDS
+            for case in FORWARD_CASES
+        ],
+    )
+    def test_fused_relu_matches_layer_arithmetic(self, name, case):
         rng = np.random.default_rng(2)
-        layer = Dense(20, 12, rng=rng)
-        relu = ReLU()
-        x = rng.normal(size=(16, 20)).astype(np.float32)
-        y_plain, _ = layer.forward(x, training=False)
-        y_plain, _ = relu.forward(y_plain, training=False)
+        layer, x_shape = FORWARD_CASES[case](rng)
+        layer.params["b"][...] = rng.normal(size=layer.params["b"].shape)
+        x = rng.normal(size=x_shape).astype(np.float32)
         backend = get_backend(name)
-        y_fused = backend.dense_forward(x, layer, fuse_relu=True)
-        # The fused forward is an optimization for EVERY backend — the
-        # float32 layer weights leave no precision to trade, so even
-        # bounded-error backends stay byte-identical here.
-        assert np.array_equal(y_plain, y_fused)
+        forward = (
+            backend.conv2d_forward if isinstance(layer, Conv2D) else backend.dense_forward
+        )
+        for fuse in (True, False):
+            y_plain, _ = layer.forward(x, training=False)
+            if fuse:
+                y_plain, _ = ReLU().forward(y_plain, training=False)
+            y_fused = forward(x, layer, fuse_relu=fuse)
+            # The fused forward is an optimization for EVERY backend — the
+            # float32 layer weights leave no precision to trade, so even
+            # bounded-error backends stay byte-identical here.
+            assert y_fused.shape == y_plain.shape
+            assert y_fused.tobytes() == y_plain.tobytes()
 
     def test_abstract_contract_surface(self):
         backend = get_backend("reference")

@@ -17,8 +17,10 @@ import pytest
 from repro.api import FleetSpec, LocalizerSpec
 from repro.baselines import KNNLocalizer, build_localizer, supports_kernel_backend
 from repro.baselines.ltknn import LTKNNLocalizer
+from repro.baselines.scnn import SCNNLocalizer
 from repro.core import EncoderConfig, build_encoder
 from repro.kernels import BACKEND_ENV_VAR
+from repro.kernels.reference import ReferenceBackend
 from repro.serve import ModelStore
 
 
@@ -239,14 +241,38 @@ class TestStorePayloads:
 class TestEncoderSeam:
     @pytest.mark.parametrize("backend", [None, "reference", "blas", "quantized"])
     def test_predict_backend_is_bit_identical(self, backend):
-        # The fused dense forward is an optimization, never a precision
-        # trade: every backend's encoder output equals the plain pass.
+        # The fused dense and conv forwards are an optimization, never a
+        # precision trade: every backend's output equals the plain pass,
+        # for STONE's encoder and for SCNN's classifier.
+        rng = np.random.default_rng(4)
+        models = [
+            build_encoder(8, EncoderConfig(embedding_dim=6), rng=rng),
+            SCNNLocalizer()._build(8, 5, rng),
+        ]
+        x = rng.random((70, 1, 8, 8)).astype(np.float32)
+        for model in models:
+            plain = model.predict(x)
+            routed = model.predict(x, backend=backend)
+            assert plain.tobytes() == routed.tobytes()
+
+    def test_predict_routes_conv_and_dense_through_backend(self):
+        calls = []
+
+        class Spy(ReferenceBackend):
+            def conv2d_forward(self, x, layer, *, fuse_relu=False):
+                calls.append((layer.name, fuse_relu))
+                return super().conv2d_forward(x, layer, fuse_relu=fuse_relu)
+
+            def dense_forward(self, x, layer, *, fuse_relu=False):
+                calls.append((layer.name, fuse_relu))
+                return super().dense_forward(x, layer, fuse_relu=fuse_relu)
+
         rng = np.random.default_rng(4)
         model = build_encoder(8, EncoderConfig(embedding_dim=6), rng=rng)
-        x = rng.random((70, 1, 8, 8)).astype(np.float32)
-        plain = model.predict(x)
-        routed = model.predict(x, backend=backend)
-        assert np.array_equal(plain, routed)
+        model.predict(rng.random((3, 1, 8, 8)).astype(np.float32), backend=Spy())
+        assert calls == [
+            ("conv1", True), ("conv2", True), ("fc", True), ("embed", False)
+        ]
 
     def test_chunked_predict_matches_unchunked(self):
         rng = np.random.default_rng(4)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.nn import (
     BatchNorm,
@@ -17,7 +19,34 @@ from repro.nn import (
     Reshape,
     Softmax,
 )
-from repro.nn.layers.conv import conv_output_hw, im2col, resolve_padding
+from repro.nn.layers.conv import col2im, conv_output_hw, im2col, resolve_padding
+
+
+def im2col_oracle(x, kernel, stride, pad):
+    """The ``sliding_window_view`` im2col formulation, kept as an oracle."""
+    n, c, h, w = x.shape
+    (kh, kw), (sh, sw), (ph, pw) = kernel, stride, pad
+    x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
+    oh, ow = conv_output_hw((h, w), kernel, stride, pad)
+    windows = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(2, 3))
+    windows = windows[:, :, ::sh, ::sw, :, :]  # (N, C, OH, OW, KH, KW)
+    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+    return np.ascontiguousarray(cols, dtype=np.float32), (oh, ow)
+
+
+@st.composite
+def conv_geometries(draw):
+    """(x, kernel, stride, pad) with a non-collapsing output."""
+    kernel = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    stride = (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+    pad = resolve_padding(draw(st.sampled_from(["valid", "same", 0, 1, 2])), kernel, stride)
+    h, w = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    assume(h + 2 * pad[0] >= kernel[0] and w + 2 * pad[1] >= kernel[1])
+    shape = (draw(st.integers(0, 3)), draw(st.integers(1, 3)), h, w)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    seed = draw(st.integers(0, 2**16))
+    x = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+    return x, kernel, stride, pad
 
 
 def rng():
@@ -51,6 +80,28 @@ class TestConvMechanics:
         assert (oh, ow) == (3, 3)
         np.testing.assert_array_equal(cols[0], [0, 1, 4, 5])
         np.testing.assert_array_equal(cols[-1], [10, 11, 14, 15])
+
+    @settings(max_examples=150, deadline=None)
+    @given(conv_geometries())
+    def test_im2col_byte_equals_sliding_window_oracle(self, geometry):
+        x, kernel, stride, pad = geometry
+        cols, out_hw = im2col(x, kernel, stride, pad)
+        expected, expected_hw = im2col_oracle(x, kernel, stride, pad)
+        assert out_hw == expected_hw
+        assert cols.dtype == np.float32 and cols.shape == expected.shape
+        assert cols.tobytes() == expected.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(conv_geometries())
+    def test_col2im_is_adjoint_of_im2col(self, geometry):
+        x, kernel, stride, pad = geometry
+        x = x.astype(np.float32)
+        cols, _ = im2col(x, kernel, stride, pad)
+        y = np.random.default_rng(1).normal(size=cols.shape).astype(np.float32)
+        lhs = np.vdot(cols.astype(np.float64), y.astype(np.float64))
+        back = col2im(y, x.shape, kernel, stride, pad)
+        rhs = np.vdot(x.astype(np.float64), back.astype(np.float64))
+        assert lhs == pytest.approx(rhs, rel=1e-5, abs=1e-4)
 
     def test_padding_resolution(self):
         assert resolve_padding("valid", (2, 2), (1, 1)) == (0, 0)
