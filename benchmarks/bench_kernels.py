@@ -11,9 +11,12 @@ Four measurements, printed as one report:
    ``blas`` speedup.
 2. **Bit-identity gate** — ``blas64`` must reproduce the reference
    ``kneighbors`` distances *and* indices byte-for-byte, and the fused
-   encoder forward must equal the layer-by-layer pass exactly. Its
-   speedup (``encoder_forward_speedup``) is Conv2D+ReLU and Dense+ReLU
-   fusion alone: both sides share the same im2col and gemms.
+   encoder forward (``Sequential.predict``) must equal the
+   layer-by-layer ``Sequential.forward`` pass exactly. Its speedup
+   (``encoder_forward_speedup``) is Conv2D+ReLU and Dense+ReLU fusion
+   plus the per-thread conv workspace, which spares the fused side the
+   fresh im2col and gemm buffers the plain side allocates; minor page
+   faults per call are printed for both sides.
 3. **Bounded-error gates** — ``blas``/``quantized`` neighbour
    distances must stay within their error envelopes of reference
    (float32 rounding noise vs. int8 code-space error).
@@ -36,6 +39,7 @@ Run standalone (pytest does not collect ``bench_*`` files)::
 from __future__ import annotations
 
 import argparse
+import resource
 import sys
 from pathlib import Path
 
@@ -151,28 +155,53 @@ def bench_identity_and_error(
     }
 
 
-def bench_encoder_forward(*, n_images: int, seed: int) -> tuple[float, bool]:
-    """Fused Conv2D/Dense(+ReLU) forward vs. the plain pass.
+def minor_faults_per_call(fn, *, calls: int = 5) -> float:
+    """Mean minor page faults of one warm ``fn()`` on the calling thread."""
+    who = getattr(resource, "RUSAGE_THREAD", resource.RUSAGE_SELF)
+    fn()
+    before = resource.getrusage(who).ru_minflt
+    for _ in range(calls):
+        fn()
+    return (resource.getrusage(who).ru_minflt - before) / calls
 
-    Returns the speedup and whether the outputs are bit-identical. Both
-    passes share im2col and the gemms, so the speedup is the fusion's
-    saved temporaries and copies only.
+
+def bench_encoder_forward(
+    *, n_images: int, seed: int
+) -> tuple[float, bool, dict]:
+    """Fused ``predict`` vs. the plain layer-by-layer ``forward`` pass.
+
+    Returns the speedup, whether the outputs are bit-identical, and the
+    minor page faults per call of each side. Both sides run the same
+    im2col and gemms; the fused side adds bias and ReLU in place and
+    keeps its conv buffers in the per-thread workspace instead of
+    fresh heap.
     """
     rng = np.random.default_rng(seed)
     model = build_encoder(8, EncoderConfig(embedding_dim=10), rng=rng)
     x = rng.random((n_images, 1, 8, 8)).astype(np.float32)
-    y_plain = model.predict(x)
-    y_fused = model.predict(x, backend="blas")
-    identical = bool(np.array_equal(y_plain, y_fused))
-    t_plain = timeit(lambda: model.predict(x))
-    t_fused = timeit(lambda: model.predict(x, backend="blas"))
+
+    def plain():
+        return model.forward(x, training=False)[0]
+
+    def fused():
+        return model.predict(x, batch_size=None, backend="blas")
+
+    identical = bool(np.array_equal(plain(), fused()))
+    # ~20 ms per pass: best of 10 rather than 3 damps host noise.
+    t_plain = timeit(plain, repeats=10)
+    t_fused = timeit(fused, repeats=10)
+    faults = {
+        "plain": minor_faults_per_call(plain),
+        "fused": minor_faults_per_call(fused),
+    }
     speedup = t_plain / t_fused if t_fused > 0 else float("inf")
-    print(f"\n== encoder forward, Conv2D+Dense(+ReLU) fusion ({n_images} images) ==")
+    print(f"\n== encoder forward, fused predict vs. plain forward ({n_images} images) ==")
     print(
-        f"plain {t_plain * 1e3:.1f}ms / conv+dense fused {t_fused * 1e3:.1f}ms "
-        f"({speedup:.2f}x); bit-identical: {identical}"
+        f"plain {t_plain * 1e3:.1f}ms / fused+workspace {t_fused * 1e3:.1f}ms "
+        f"({speedup:.2f}x); bit-identical: {identical}; minor faults/call "
+        f"plain {faults['plain']:.0f} / fused {faults['fused']:.0f}"
     )
-    return speedup, identical
+    return speedup, identical, faults
 
 
 def main(argv=None) -> int:
@@ -216,7 +245,7 @@ def main(argv=None) -> int:
         k=args.k,
         seed=args.seed,
     )
-    encoder_speedup, encoder_identical = bench_encoder_forward(
+    encoder_speedup, encoder_identical, encoder_faults = bench_encoder_forward(
         n_images=n_images, seed=args.seed
     )
 
@@ -259,6 +288,7 @@ def main(argv=None) -> int:
                 "blas_rel_error": errors["blas"]["rel_error"],
                 "quantized_rel_error": errors["quantized"]["rel_error"],
                 "n_images": n_images,
+                "encoder_minor_faults_per_call": encoder_faults,
             },
         )
     return 0 if ok else 1

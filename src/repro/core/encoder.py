@@ -111,9 +111,8 @@ def embed(
 
     ``backend`` names a :mod:`repro.kernels` backend whose fused
     ``conv2d_forward`` and ``dense_forward`` run the encoder's
-    Conv2D(+ReLU) and Dense(+ReLU) layers; ``None`` keeps the plain
-    layer-by-layer pass (identical floats either way — see
-    :meth:`repro.nn.model.Sequential.predict`).
+    Conv2D(+ReLU) and Dense(+ReLU) layers; ``None`` means
+    ``"reference"`` (see :meth:`repro.nn.model.Sequential.predict`).
     """
     return model.predict(
         np.asarray(images, dtype=np.float32),

@@ -28,6 +28,7 @@ backend wherever a default would apply (see :func:`resolve_backend`).
 from __future__ import annotations
 
 import os
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -130,11 +131,18 @@ class KernelBackend(ABC):
         as ``Conv2D.forward`` followed by ``ReLU.forward`` (``y *= y > 0``
         is the ReLU layer's ``x * (x > 0)``), without the ReLU layer's
         separate output array. Every backend shares this implementation.
+
+        The patch matrix and the gemm output live in this thread's conv
+        workspace (:func:`_conv_workspace`) rather than fresh heap, so a
+        steady stream of same-sized calls allocates only the result —
+        glibc would otherwise unmap or trim those megabytes after every
+        call and page-fault them back in on the next. The returned NCHW
+        array is always a fresh copy and never aliases the workspace.
         """
-        y, _ = layer.forward_nhwc(x)
+        y, _ = layer.forward_nhwc(x, scratch=_conv_workspace)
         if fuse_relu:
             y *= y > 0
-        return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+        return y.transpose(0, 3, 1, 2).copy()
 
     # -- reporting ---------------------------------------------------------
 
@@ -144,6 +152,27 @@ class KernelBackend(ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+#: Per-thread conv scratch. Module-level on purpose: layers, models and
+#: backends are pickled into artifacts and worker payloads, so none of
+#: them may hold it.
+_WORKSPACE = threading.local()
+
+
+def _conv_workspace(n: int) -> np.ndarray:
+    """This thread's grow-only float32 arena, at least ``n`` elements.
+
+    It holds one Conv2D call's patch matrix plus gemm output, so it
+    grows to the largest conv layer of the largest block the thread has
+    run (``Sequential.predict``'s ``batch_size`` bounds that: STONE's
+    conv2 needs ~3.5 MB at 64 rows, ~28 MB at 512) and is freed with
+    the thread.
+    """
+    buf = getattr(_WORKSPACE, "buf", None)
+    if buf is None or buf.size < n:
+        buf = _WORKSPACE.buf = np.empty(n, dtype=np.float32)
+    return buf
 
 
 _REGISTRY: dict[str, KernelBackend] = {}

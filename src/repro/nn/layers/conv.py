@@ -13,6 +13,7 @@ per offset, so the per-element work stays in NumPy's copy loops.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
@@ -72,6 +73,8 @@ def im2col(
     kernel: tuple[int, int],
     stride: tuple[int, int],
     pad: tuple[int, int],
+    *,
+    out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, tuple[int, int]]:
     """Unfold NCHW input into a (N*OH*OW, C*KH*KW) matrix of patches.
 
@@ -79,6 +82,10 @@ def im2col(
     ``(O, C, KH, KW)`` kernel reshaped to ``(O, C*KH*KW)``. The float32
     result is filled in a preallocated ``(N, OH, OW, C, KH, KW)`` buffer
     with one strided slice copy per kernel offset.
+
+    ``out`` supplies that buffer: a C-contiguous float32 array of the
+    result's shape, filled in place and returned instead of a fresh
+    allocation (:meth:`Conv2D.forward_nhwc` passes a workspace view).
     """
     n, c, h, w = x.shape
     kh, kw = kernel
@@ -87,7 +94,11 @@ def im2col(
     oh, ow = conv_output_hw((h, w), kernel, stride, pad)
     if ph or pw:
         x = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)), mode="constant")
-    cols = np.empty((n, oh, ow, c, kh, kw), dtype=DTYPE)
+    if out is None:
+        out = np.empty((n * oh * ow, c * kh * kw), dtype=DTYPE)
+    elif out.dtype != DTYPE or not out.flags.c_contiguous:
+        raise ValueError("im2col out must be a C-contiguous float32 array")
+    cols = out.reshape(n, oh, ow, c, kh, kw)  # a view: out is C-contiguous
     x_nhwc = x.transpose(0, 2, 3, 1)
     for i in range(kh):
         for j in range(kw):
@@ -190,20 +201,42 @@ class Conv2D(Layer):
         out = np.ascontiguousarray(y.transpose(0, 3, 1, 2))
         return out, (cols, x.shape, y.shape[1:3])
 
-    def forward_nhwc(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def forward_nhwc(
+        self,
+        x: np.ndarray,
+        *,
+        scratch: Callable[[int], np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
         """im2col, one gemm, bias added in place: ``(N, OH, OW, O)`` output.
 
         Also returns the patch matrix, which the backward pass reuses.
         :meth:`forward` is this plus the transpose to NCHW.
+
+        ``scratch(n)`` returns a flat float32 buffer of at least ``n``
+        elements. When given, the patch matrix and the gemm output are
+        written into two disjoint views of it instead of fresh arrays,
+        so both returned arrays alias the buffer and are only valid
+        until its next use. The floats are the same either way.
         """
         x = np.asarray(x, dtype=DTYPE)
         if x.ndim != 4 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"{self.name}: expected (N, {self.in_channels}, H, W), got {x.shape}"
             )
-        cols, (oh, ow) = im2col(x, self.kernel_size, self.stride, self.pad)
         w_mat = self.params["W"].reshape(self.out_channels, -1)  # (O, C*KH*KW)
-        out = cols @ w_mat.T  # (N*OH*OW, O)
+        cols_buf = out_buf = None
+        if scratch is not None:
+            oh, ow = conv_output_hw(
+                x.shape[2:], self.kernel_size, self.stride, self.pad
+            )
+            rows, k, o = x.shape[0] * oh * ow, w_mat.shape[1], self.out_channels
+            buf = scratch(rows * (k + o))
+            cols_buf = buf[: rows * k].reshape(rows, k)
+            out_buf = buf[rows * k : rows * (k + o)].reshape(rows, o)
+        cols, (oh, ow) = im2col(
+            x, self.kernel_size, self.stride, self.pad, out=cols_buf
+        )
+        out = np.matmul(cols, w_mat.T, out=out_buf)  # (N*OH*OW, O)
         if self.use_bias:
             out += self.params["b"]
         return out.reshape(x.shape[0], oh, ow, self.out_channels), cols

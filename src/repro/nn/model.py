@@ -97,20 +97,22 @@ class Sequential:
         passes write into a preallocated output so peak memory is one
         chunk's activations plus the result, never 2x the result.
 
-        ``backend`` (a :mod:`repro.kernels` backend name or instance)
-        routes every ``Dense`` layer through the backend's
+        Every ``Dense`` layer runs through the kernel backend's
         ``dense_forward`` and every ``Conv2D`` layer through its
         ``conv2d_forward``, each fused with a directly following
-        ``ReLU``. ``None`` keeps the layer-by-layer path. The fusion
-        reuses the gemm output buffer for bias and activation, so it is
-        bitwise identical to the unfused pass (``y + b`` and ``y += b``
-        produce the same floats; ``ReLU`` is ``x * (x > 0)`` in both).
+        ``ReLU``. ``backend`` is a :mod:`repro.kernels` backend name or
+        instance; ``None`` means ``"reference"`` by name, so
+        ``$REPRO_KERNEL_BACKEND`` does not apply here. The fusion reuses
+        the gemm output buffer for bias and activation, so it is bitwise
+        identical to :meth:`forward` (``y + b`` and ``y += b`` produce
+        the same floats; ``ReLU`` is ``x * (x > 0)`` in both). Conv
+        scratch comes from a per-thread workspace that ``batch_size``
+        bounds; returned arrays never alias it.
         """
-        x = np.asarray(x, dtype=DTYPE)
-        if backend is not None:
-            from ..kernels import resolve_backend
+        from ..kernels import resolve_backend
 
-            backend = resolve_backend(backend)
+        x = np.asarray(x, dtype=DTYPE)
+        backend = resolve_backend("reference" if backend is None else backend)
         if batch_size is None or x.shape[0] <= batch_size:
             return self._predict_block(x, backend)
         if batch_size <= 0:
@@ -124,10 +126,13 @@ class Sequential:
             )
         return out
 
-    def _predict_block(self, x: np.ndarray, backend: Any | None) -> np.ndarray:
-        """One inference block, Dense/Conv2D(+ReLU)-fused via ``backend``."""
-        if backend is None:
-            return self.forward(x, training=False)[0]
+    def _predict_block(self, x: np.ndarray, backend: Any) -> np.ndarray:
+        """One inference block, Dense/Conv2D(+ReLU)-fused via ``backend``.
+
+        ``backend`` is a resolved ``KernelBackend``. The calling
+        thread's conv workspace grows to this block's largest conv
+        layer, so the block size bounds it.
+        """
         out = np.asarray(x, dtype=DTYPE)
         skip_next = False
         for idx, layer in enumerate(self.layers):

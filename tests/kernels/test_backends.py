@@ -16,16 +16,31 @@ Three tiers, mirroring the seam's documented contract:
 The negative-clamp boundary (squared distances must never go below
 zero before the downstream ``sqrt``) gets its own class with a
 deterministic input whose raw matmul decomposition IS negative.
+
+The fused forwards are pinned byte-equal to the layer pass, including
+across the per-thread conv workspace's growth, aliasing and threading
+rules, and warm STONE inference is pinned to take no page faults.
 """
 
 from __future__ import annotations
+
+import os
+import pickle
+import resource
+import subprocess
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import StoneConfig, StoneLocalizer
 from repro.core.knn_head import KNNHead
+from repro.geometry import build_grid_floorplan
 from repro.index import IndexConfig
 from repro.kernels import (
     BACKEND_ENV_VAR,
@@ -37,8 +52,11 @@ from repro.kernels import (
     resolve_backend,
     resolve_backend_name,
 )
+from repro.kernels.base import _conv_workspace
 from repro.kernels.reference import squared_distances
 from repro.nn import Conv2D, Dense, ReLU
+
+from ..conftest import make_synthetic_dataset
 
 #: Same envelopes as ``benchmarks/bench_kernels.py`` — relative to the
 #: mean reference neighbour distance.
@@ -329,6 +347,29 @@ FORWARD_CASES = {
 }
 
 
+def _layer_pass(layer, x, fuse):
+    """``layer.forward`` (+ ``ReLU``) — the pass every fused forward matches."""
+    y, _ = layer.forward(x, training=False)
+    if fuse:
+        y, _ = ReLU().forward(y, training=False)
+    return y
+
+
+def _fit_stone(backend=None):
+    """A tiny STONE fit on 64 APs: an 8x8 image, so conv2 is 6x6x128."""
+    train = make_synthetic_dataset(n_rps=6, fpr=4, n_aps=64, seed=3)
+    fp = build_grid_floorplan("t", width=8, height=6, rp_spacing=2.0, margin=1.0)
+    config = StoneConfig(epochs=1, steps_per_epoch=2, batch_size=16, seed=1)
+    return StoneLocalizer(config, backend=backend).fit(
+        train, fp, rng=np.random.default_rng(1)
+    )
+
+
+@pytest.fixture(scope="module")
+def fitted_stone():
+    return _fit_stone()
+
+
 class TestDenseForwardContract:
     @pytest.mark.parametrize(
         ("name", "case"),
@@ -348,9 +389,7 @@ class TestDenseForwardContract:
             backend.conv2d_forward if isinstance(layer, Conv2D) else backend.dense_forward
         )
         for fuse in (True, False):
-            y_plain, _ = layer.forward(x, training=False)
-            if fuse:
-                y_plain, _ = ReLU().forward(y_plain, training=False)
+            y_plain = _layer_pass(layer, x, fuse)
             y_fused = forward(x, layer, fuse_relu=fuse)
             # The fused forward is an optimization for EVERY backend — the
             # float32 layer weights leave no precision to trade, so even
@@ -358,8 +397,121 @@ class TestDenseForwardContract:
             assert y_fused.shape == y_plain.shape
             assert y_fused.tobytes() == y_plain.tobytes()
 
+    @pytest.mark.parametrize("case", ["conv", "conv-s2-same"])
+    def test_conv_workspace_across_row_counts(self, case):
+        # The per-thread workspace grows and is reused as blocks change
+        # size; every call must still be the layer pass byte for byte.
+        rng = np.random.default_rng(3)
+        layer, x_shape = FORWARD_CASES[case](rng)
+        layer.params["b"][...] = rng.normal(size=layer.params["b"].shape)
+        backend = get_backend("reference")
+        for n in (64, 256, 1, 0, 64):
+            x = rng.normal(size=(n,) + x_shape[1:]).astype(np.float32)
+            for fuse in (True, False):
+                y_plain = _layer_pass(layer, x, fuse)
+                y_fused = backend.conv2d_forward(x, layer, fuse_relu=fuse)
+                assert y_fused.shape == y_plain.shape
+                assert y_fused.tobytes() == y_plain.tobytes()
+
+    @pytest.mark.parametrize(
+        ("out_channels", "kernel"),
+        # (1, (7, 7)) has a 1x1x1 output, whose NHWC->NCHW transpose is
+        # already contiguous: a no-copy conversion would alias the
+        # workspace there.
+        [(8, (2, 2)), (1, (2, 2)), (1, (7, 7))],
+    )
+    def test_conv_outputs_never_alias_the_workspace(self, out_channels, kernel):
+        rng = np.random.default_rng(4)
+        layer = Conv2D(3, out_channels, kernel, rng=rng)
+        backend = get_backend("reference")
+        held = backend.conv2d_forward(
+            rng.normal(size=(16, 3, 7, 7)).astype(np.float32), layer, fuse_relu=True
+        )
+        snapshot = held.copy()
+        for n in (16, 64, 1):
+            later = backend.conv2d_forward(
+                rng.normal(size=(n, 3, 7, 7)).astype(np.float32), layer
+            )
+            assert not np.shares_memory(held, later)
+            assert not np.shares_memory(later, _conv_workspace(0))
+        assert held.tobytes() == snapshot.tobytes()
+
+    def test_threads_predict_stone_concurrently(self, fitted_stone):
+        # Each thread owns its workspace: threads started together on
+        # different inputs (and block sizes) give the serial answers.
+        # More threads than cores and a short switch interval make the
+        # interleaving dense.
+        rng = np.random.default_rng(6)
+        inputs = [rng.uniform(-95.0, -30.0, size=(n, 64)) for n in (64, 200, 1, 128)]
+        serial = [fitted_stone.predict(x).tobytes() for x in inputs]
+        barrier = threading.Barrier(len(inputs), timeout=30)
+
+        def run(x):
+            barrier.wait()
+            return [fitted_stone.predict(x).tobytes() for _ in range(10)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(inputs)) as pool:
+                futures = [pool.submit(run, x) for x in inputs]
+                results = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, serial):
+            assert got == [want] * 10
+
     def test_abstract_contract_surface(self):
         backend = get_backend("reference")
         assert isinstance(backend, KernelBackend)
         facts = backend.describe()
         assert facts == {"name": "reference", "changes_results": False}
+
+
+_FAULTS_CODE = """
+import pickle, resource, sys
+from concurrent.futures import ThreadPoolExecutor
+import numpy as np
+stone = pickle.loads(open(sys.argv[1], "rb").read())
+x = np.random.default_rng(0).uniform(-95.0, -30.0, size=(64, 64))
+def faults_per_call():
+    for _ in range(3):
+        stone.predict(x)
+    f0 = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    for _ in range(20):
+        stone.predict(x)
+    return (resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - f0) / 20
+with ThreadPoolExecutor(1) as pool:
+    print(pool.submit(faults_per_call).result())
+"""
+
+
+@pytest.mark.skipif(
+    not hasattr(resource, "RUSAGE_THREAD"), reason="needs Linux RUSAGE_THREAD"
+)
+class TestConvWorkspacePageFaults:
+    """Warm STONE inference must not page-fault its conv buffers back in.
+
+    Without the workspace, each 64-row predict allocates ~6 MB of conv
+    scratch (the conv2 patch matrix alone is 2.4 MB) that glibc hands
+    back to the OS after the call, so the next call takes ~1,300-1,500
+    minor faults. glibc's mmap/trim thresholds are process-global and rise
+    after any large free (a fit, another test), which hides the faults,
+    so the measurement runs where a server runs: a fresh interpreter
+    that loads a fitted model and predicts on an executor thread.
+    """
+
+    @pytest.mark.parametrize("backend", [None, "blas"])
+    def test_warm_predict_takes_no_conv_faults(self, backend, tmp_path):
+        path = tmp_path / "stone.pkl"
+        path.write_bytes(pickle.dumps(_fit_stone(backend)))
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        out = subprocess.run(
+            [sys.executable, "-c", _FAULTS_CODE, str(path)],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert float(out.stdout.strip()) <= 50
