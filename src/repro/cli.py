@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from collections.abc import Sequence
 
 from .baselines.registry import PAPER_FRAMEWORKS
@@ -340,10 +341,14 @@ def _add_fleet_gen_flags(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_serve_fleet(args: argparse.Namespace) -> int:
     fleet_spec = _fleet_spec(args, args.fleet)
+    started = time.perf_counter()
     registry = fleet_spec.build_registry()
+    loaded = time.perf_counter()
+    generate_s = registry.generate_seconds
+    startup = {"generate_s": generate_s, "load_s": loaded - started - generate_s}
     print(registry.describe_text())
     server = fleet_spec.build_server(registry)
-    return server.run()
+    return server.run(startup, since=loaded)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -352,7 +357,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.fleet:
         return _cmd_serve_fleet(args)
+    started = time.perf_counter()
     suite = _suite_for(args.suite, args.seed)
+    generated = time.perf_counter()
     caps = framework_capabilities(args.framework)
     index = _index_spec(args)
     backend = _backend_for(args, caps)
@@ -381,6 +388,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         slow_ms=args.slow_ms,
     )
     server = serve_spec.build(suite)
+    loaded = time.perf_counter()
     entry = server.entry
     if entry.source == "disk":
         print(f"{caps.name}: warm-loaded fitted model from {args.model_dir}")
@@ -403,7 +411,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"note: {caps.name} decodes scan sequences statefully — "
             "requests dispatch one at a time (no cross-request batching)"
         )
-    return server.run()
+    startup = {"generate_s": generated - started, "load_s": loaded - generated}
+    return server.run(startup, since=loaded)
 
 
 def _cmd_fleet(args: argparse.Namespace) -> int:

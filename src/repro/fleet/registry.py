@@ -24,6 +24,7 @@ The :class:`FleetRegistry` owns the mapping:
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -145,6 +146,9 @@ class FleetRegistry:
         self.store = store if store is not None else ModelStore(model_dir)
         self._buildings: dict[str, BuildingDeployment] = {}
         self._order: list[str] = []
+        #: Wall seconds :meth:`from_specs` spent generating suites (the
+        #: rest of its time is model fit/load); reported at startup.
+        self.generate_seconds = 0.0
 
     # -- construction ------------------------------------------------------
 
@@ -242,7 +246,9 @@ class FleetRegistry:
                 n_months=months,
                 **fpr_kwargs,
             )
+            started = time.perf_counter()
             suite = generate_multifloor_suite(building_seed, config=config)
+            registry.generate_seconds += time.perf_counter() - started
             building_index = index
             if spec.index_kind is not None:
                 if spec.index_kind == "exhaustive":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .point import PointLike, as_point
+from .point import PointLike, as_point, as_points
 
 # Default attenuation per wall crossing, in dB, loosely following the
 # COST 231 multi-wall model material classes.
@@ -54,9 +54,12 @@ class Wall:
         return float(np.hypot(bx - ax, by - ay))
 
 
-def _orient(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
-    """Signed area orientation of the triple (p, q, r)."""
-    return float((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
+def _orient(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Signed area orientation of the triple (p, q, r), broadcast over
+    leading axes (the last axis holds x, y)."""
+    return (q[..., 0] - p[..., 0]) * (r[..., 1] - p[..., 1]) - (
+        q[..., 1] - p[..., 1]
+    ) * (r[..., 0] - p[..., 0])
 
 
 def segments_intersect(
@@ -115,38 +118,75 @@ def wall_attenuation_db(
     )
 
 
+def _on_box(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``c`` inside the a-b bounding box (1e-12 slack), broadcast."""
+    lo = np.minimum(a, b) - 1e-12
+    hi = np.maximum(a, b) + 1e-12
+    return ((lo <= c) & (c <= hi)).all(axis=-1)
+
+
+def _crossings(
+    p1: np.ndarray, p2: np.ndarray, q1: np.ndarray, q2: np.ndarray
+) -> np.ndarray:
+    """:func:`segments_intersect` evaluated over broadcast point arrays."""
+    d1 = _orient(q1, q2, p1)
+    d2 = _orient(q1, q2, p2)
+    d3 = _orient(p1, p2, q1)
+    d4 = _orient(p1, p2, q2)
+    hit = ((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0)) & (d1 != 0) & (d2 != 0)
+    hit |= (d1 == 0) & _on_box(q1, q2, p1)
+    hit |= (d2 == 0) & _on_box(q1, q2, p2)
+    hit |= (d3 == 0) & _on_box(p1, p2, q1)
+    hit |= (d4 == 0) & _on_box(p1, p2, q2)
+    return hit
+
+
 @dataclass
 class WallSet:
-    """A collection of walls with a cached attenuation query.
+    """A collection of walls with an array attenuation query.
 
-    Fingerprint generation evaluates AP->RP attenuation for every (AP, RP)
-    pair at every collection instance; the pairs repeat, so memoising on
-    rounded endpoints removes almost all intersection tests.
+    Fingerprint generation asks for the attenuation from every AP to one
+    receiver point; :meth:`attenuation_from_db` answers that for all
+    sources at once against endpoint arrays stacked on first use (and
+    again after :meth:`add`/:meth:`extend`).
     """
 
     walls: list[Wall] = field(default_factory=list)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _arrays: tuple | None = field(default=None, repr=False, compare=False)
 
     def add(self, wall: Wall) -> None:
         self.walls.append(wall)
-        self._cache.clear()
+        self._arrays = None
 
     def extend(self, walls: Iterable[Wall]) -> None:
         self.walls.extend(walls)
-        self._cache.clear()
+        self._arrays = None
+
+    def attenuation_from_db(self, srcs: PointLike, dst: PointLike) -> np.ndarray:
+        """Multi-wall attenuation (dB) from each row of ``srcs`` to ``dst``.
+
+        Equal, byte for byte, to :func:`wall_attenuation_db` per source:
+        the same orientation products and 1e-12 box rules as
+        :func:`segments_intersect` as ``(n_sources, n_walls)`` arrays,
+        and crossed losses accumulated in wall order as ``sum`` does.
+        """
+        p1 = as_points(srcs)[:, None, :]
+        p2 = as_point(dst)
+        if self._arrays is None:
+            self._arrays = (
+                np.array([w.a for w in self.walls], dtype=np.float64).reshape(-1, 2),
+                np.array([w.b for w in self.walls], dtype=np.float64).reshape(-1, 2),
+                np.array([w.loss_db for w in self.walls], dtype=np.float64),
+            )
+        q1, q2, loss = self._arrays
+        if loss.size == 0:
+            return np.zeros(p1.shape[0])
+        crossed = np.where(_crossings(p1, p2, q1, q2), loss, 0.0)
+        return np.add.accumulate(crossed, axis=1)[:, -1]
 
     def attenuation_db(self, src: PointLike, dst: PointLike) -> float:
-        key = (
-            round(float(np.asarray(src)[0]), 3),
-            round(float(np.asarray(src)[1]), 3),
-            round(float(np.asarray(dst)[0]), 3),
-            round(float(np.asarray(dst)[1]), 3),
-        )
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = wall_attenuation_db(src, dst, self.walls)
-            self._cache[key] = hit
-        return hit
+        """Multi-wall attenuation (dB) along the straight src->dst ray."""
+        return float(self.attenuation_from_db(as_point(src)[None, :], dst)[0])
 
     def __len__(self) -> int:
         return len(self.walls)

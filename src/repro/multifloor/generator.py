@@ -77,8 +77,8 @@ def _capture_row(
             )
             continue
         noise_std = env.scan_noise_std_db(time)
-        for ap in range(aps_per_floor):
-            mean = env.mean_rssi_dbm(ap, location, time, epoch=epoch)
+        means = env.mean_rssi_vector(location, time, epoch=epoch)
+        for ap, mean in enumerate(means.tolist()):
             if mean <= NO_SIGNAL_DBM:
                 continue
             attenuated = mean - leaks[src, ap, floor]

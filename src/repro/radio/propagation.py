@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..geometry.floorplan import Floorplan
-from ..geometry.point import as_point, euclidean
+from ..geometry.point import as_point, as_points, euclidean
 
 
 @dataclass(frozen=True)
@@ -92,25 +92,44 @@ class MultiWallPropagation:
     floorplan: Floorplan | None = None
     wall_loss_cap_db: float = 30.0
 
+    def wall_loss_db(
+        self, srcs: np.ndarray, dst: "tuple[float, float] | np.ndarray"
+    ) -> np.ndarray:
+        """Capped multi-wall loss from each row of ``srcs`` to ``dst``.
+
+        Wall attenuation is capped at ``wall_loss_cap_db``: beyond a few
+        walls, diffraction and reflections dominate the direct ray and the
+        multi-wall model would otherwise over-attenuate (standard COST 231
+        practice). Zero without a floorplan.
+        """
+        srcs = as_points(srcs)
+        if self.floorplan is None:
+            return np.zeros(srcs.shape[0])
+        walls = self.floorplan.walls.attenuation_from_db(srcs, dst)
+        return np.minimum(walls, self.wall_loss_cap_db)
+
+    def link_loss_db(
+        self, srcs: np.ndarray, dst: "tuple[float, float] | np.ndarray"
+    ) -> np.ndarray:
+        """Mean loss (path loss + capped walls) from each row of ``srcs``.
+
+        The log-distance term stays one scalar ``loss_db(euclidean(...))``
+        per link: NumPy's array ``log10`` and a row-wise norm need not
+        round like the scalar calls, and these values are pinned.
+        """
+        srcs = as_points(srcs)
+        dst = as_point(dst)
+        path = np.array([self.path_loss.loss_db(euclidean(src, dst)) for src in srcs])
+        return path + self.wall_loss_db(srcs, dst)
+
     def mean_rssi_dbm(
         self,
         tx_power_dbm: float,
         src: "tuple[float, float] | np.ndarray",
         dst: "tuple[float, float] | np.ndarray",
     ) -> float:
-        """Mean received power (no shadowing/fading) from src to dst.
-
-        Wall attenuation is capped at ``wall_loss_cap_db``: beyond a few
-        walls, diffraction and reflections dominate the direct ray and the
-        multi-wall model would otherwise over-attenuate (standard COST 231
-        practice).
-        """
-        src = as_point(src)
-        dst = as_point(dst)
-        loss = self.path_loss.loss_db(euclidean(src, dst))
-        if self.floorplan is not None:
-            loss += min(self.floorplan.attenuation_db(src, dst), self.wall_loss_cap_db)
-        return float(tx_power_dbm - loss)
+        """Mean received power (no shadowing/fading) from src to dst."""
+        return float(tx_power_dbm - self.link_loss_db(as_point(src)[None, :], dst)[0])
 
 
 def make_propagation(

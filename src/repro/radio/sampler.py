@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,6 +26,20 @@ from .temporal import TemporalModel
 from .time import SimTime
 
 
+class _EpochAPs(NamedTuple):
+    """The deployment as it transmits during one epoch.
+
+    Removed APs keep their original location and generation 0 (their
+    values are masked out); ``key`` identifies the generation set.
+    """
+
+    locations: np.ndarray
+    tx_power_dbm: np.ndarray
+    generations: np.ndarray
+    active: np.ndarray
+    key: bytes
+
+
 @dataclass
 class RadioEnvironment:
     """A fully specified simulated radio deployment.
@@ -33,6 +48,13 @@ class RadioEnvironment:
     per-scan noise also includes device noise, co-channel interference,
     and the activity-dependent component from the temporal model, all
     added in quadrature.
+
+    The deterministic part of the signal chain is evaluated for all APs
+    at once (:meth:`mean_rssi_vector`); only the per-scan noise draws
+    run per AP where their order is part of the output. Terms that
+    depend on geometry alone (walls, link loss, activity sensitivity)
+    are cached per RP location and generation set, never per arbitrary
+    point, so walks do not grow any cache.
     """
 
     floorplan: Floorplan
@@ -44,7 +66,12 @@ class RadioEnvironment:
     schedule: EphemeralitySchedule | None = None
     fading_std_db: float = 1.5
     base_seed: int = 0
-    _replacements: dict = field(default_factory=dict, repr=False)
+    _replaced: dict = field(default_factory=dict, repr=False)  # (ap, gen) -> AP
+    _epochs: dict = field(default_factory=dict, repr=False)  # epoch -> _EpochAPs
+    _walls: dict = field(default_factory=dict, repr=False)  # (site, gens) -> dB
+    _link_loss: dict = field(default_factory=dict, repr=False)  # (site, gens) -> dB
+    _sensitivity: dict = field(default_factory=dict, repr=False)  # site -> (n_aps,)
+    _rp_sites: frozenset | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.fading_std_db < 0:
@@ -74,7 +101,7 @@ class RadioEnvironment:
         if gen == 0:
             return ap
         key = (ap_id, gen)
-        replacement = self._replacements.get(key)
+        replacement = self._replaced.get(key)
         if replacement is None:
             rng = np.random.default_rng(stable_seed(self.base_seed, "replace", ap_id, gen))
             # Replacement hardware: nearby but not identical placement,
@@ -93,10 +120,124 @@ class RadioEnvironment:
                 channel=replacement.channel,
                 generation=gen,
             )
-            self._replacements[key] = replacement
+            self._replaced[key] = replacement
         return replacement
 
+    def _epoch_aps(self, epoch: int | None) -> _EpochAPs:
+        """Effective APs at ``epoch`` as arrays (cached per epoch).
+
+        The AP lifecycle only changes between epochs, never within one,
+        so dataset generation reuses these arrays for every scan of a
+        collection instance.
+        """
+        hit = self._epochs.get(epoch)
+        if hit is not None:
+            return hit
+        locs = np.empty((self.n_aps, 2), dtype=np.float64)
+        tx = np.empty(self.n_aps, dtype=np.float64)
+        gens = np.zeros(self.n_aps, dtype=np.int64)
+        active = np.ones(self.n_aps, dtype=bool)
+        for ap_id in range(self.n_aps):
+            ap = self._effective_ap(ap_id, epoch)
+            if ap is None:
+                active[ap_id] = False
+                locs[ap_id] = self.access_points[ap_id].location
+                tx[ap_id] = NO_SIGNAL_DBM
+                continue
+            locs[ap_id] = ap.location
+            tx[ap_id] = ap.tx_power_dbm
+            gens[ap_id] = ap.generation
+        aps = self._epochs[epoch] = _EpochAPs(locs, tx, gens, active, gens.tobytes())
+        return aps
+
     # -- signal chain ----------------------------------------------------------
+
+    @staticmethod
+    def _cached(cache: dict, key, compute) -> np.ndarray:
+        """``compute()``, memoised under ``key`` unless ``key`` is None."""
+        if key is None:
+            return compute()
+        hit = cache.get(key)
+        if hit is None:
+            hit = cache[key] = compute()
+        return hit
+
+    def _wall_db(self, aps: _EpochAPs, point: np.ndarray, site) -> np.ndarray:
+        """Capped wall loss from every AP to ``point``."""
+        return self._cached(
+            self._walls,
+            None if site is None else (site, aps.key),
+            lambda: self.propagation.wall_loss_db(aps.locations, point),
+        )
+
+    def _activity_sensitivity(self, point: np.ndarray, site) -> np.ndarray:
+        """How strongly human activity attenuates each AP at one spot.
+
+        Crowds block some AP->receiver paths and not others (a body in the
+        Fresnel zone of one link leaves another untouched). A logistic
+        squash of an independent shadowing layer gives a per-(AP, place)
+        sensitivity in (0, 1) that is stable in space and across time —
+        the *pattern* of busy-hour attenuation repeats daily, which is
+        exactly why morning-trained models mislocate in the afternoon.
+        The logistic's ``exp`` stays one scalar call per AP, as pinned.
+        """
+
+        def compute() -> np.ndarray:
+            raw = self.shadowing.values_db(
+                np.arange(self.n_aps), np.full(self.n_aps, 7777), point[0], point[1]
+            ) / max(self.shadowing.sigma_db, 1e-9)
+            return np.array([1.0 / (1.0 + np.exp(-2.0 * r)) for r in raw.tolist()])
+
+        return self._cached(self._sensitivity, site, compute)
+
+    def _shadow_db(self, aps: _EpochAPs, point: np.ndarray, time: SimTime) -> np.ndarray:
+        """Spatial shadowing of every AP at ``point``, furniture layer at
+        its weight for ``time``."""
+        return self.shadowing.shadow_db_many(
+            np.arange(self.n_aps),
+            aps.generations,
+            point[0],
+            point[1],
+            furniture_weight=self.temporal.furniture_weight(time),
+        )
+
+    def _site(self, point: np.ndarray) -> tuple[float, float] | None:
+        """``point`` as a cache key when it is one of this floorplan's RPs."""
+        if self._rp_sites is None:
+            self._rp_sites = frozenset(map(tuple, self.floorplan.reference_points.tolist()))
+        key = tuple(point.tolist())
+        return key if key in self._rp_sites else None
+
+    def mean_rssi_vector(
+        self,
+        location: Sequence[float],
+        time: SimTime,
+        *,
+        epoch: int | None = None,
+    ) -> np.ndarray:
+        """Expected received power of every AP at ``location`` (``(n_aps,)``).
+
+        Includes path loss, walls, spatial shadowing (with the furniture
+        layer at its current weight), slow drift, and the mean activity
+        attenuation; per-scan noise and detection are not applied.
+        Removed APs read ``NO_SIGNAL_DBM``.
+        """
+        point = np.array(location, dtype=np.float64)
+        key = self._site(point)
+        aps = self._epoch_aps(epoch)
+        loss = self._cached(
+            self._link_loss,
+            None if key is None else (key, aps.key),
+            lambda: self.propagation.link_loss_db(aps.locations, point),
+        )
+        rssi = aps.tx_power_dbm - loss
+        rssi += self._shadow_db(aps, point, time)
+        rssi += self.temporal.drift_db_vector(self.n_aps, time)
+        rssi -= self._activity_sensitivity(point, key) * (
+            self.temporal.activity_attenuation_db(time)
+        )
+        rssi[~aps.active] = NO_SIGNAL_DBM
+        return rssi
 
     def mean_rssi_dbm(
         self,
@@ -106,43 +247,18 @@ class RadioEnvironment:
         *,
         epoch: int | None = None,
     ) -> float:
-        """Expected received power before per-scan noise and detection.
+        """One AP's entry of :meth:`mean_rssi_vector`."""
+        return float(self.mean_rssi_vector(location, time, epoch=epoch)[ap_id])
 
-        Includes path loss, walls, spatial shadowing (with the furniture
-        layer at its current weight), slow drift, and the mean activity
-        attenuation. Returns ``NO_SIGNAL_DBM`` when the AP is removed.
-        """
-        ap = self._effective_ap(ap_id, epoch)
-        if ap is None:
-            return NO_SIGNAL_DBM
-        x, y = float(location[0]), float(location[1])
-        rssi = self.propagation.mean_rssi_dbm(ap.tx_power_dbm, ap.location, (x, y))
-        rssi += self.shadowing.shadow_db(
-            ap_id,
-            x,
-            y,
-            furniture_weight=self.temporal.furniture_weight(time),
-            generation=ap.generation,
+    def _fading_std_db(self, time: SimTime) -> float:
+        """Per-scan fading sigma before the device's own noise."""
+        return float(
+            np.sqrt(
+                self.fading_std_db**2
+                + self.temporal.interference_std_db() ** 2
+                + self.temporal.activity_noise_std_db(time) ** 2
+            )
         )
-        rssi += self.temporal.drift_db(ap_id, time)
-        rssi -= self._activity_sensitivity(ap_id, x, y) * (
-            self.temporal.activity_attenuation_db(time)
-        )
-        return float(rssi)
-
-    def _activity_sensitivity(self, ap_id: int, x: float, y: float) -> float:
-        """How strongly human activity attenuates one AP at one spot.
-
-        Crowds block some AP->receiver paths and not others (a body in the
-        Fresnel zone of one link leaves another untouched). A logistic
-        squash of an independent shadowing layer gives a per-(AP, place)
-        sensitivity in (0, 1) that is stable in space and across time —
-        the *pattern* of busy-hour attenuation repeats daily, which is
-        exactly why morning-trained models mislocate in the afternoon.
-        """
-        fld = self.shadowing.field_for(ap_id, layer=7777)
-        raw = fld.value_db(x, y) / max(self.shadowing.sigma_db, 1e-9)
-        return float(1.0 / (1.0 + np.exp(-2.0 * raw)))
 
     def scan_noise_std_db(self, time: SimTime) -> float:
         """Total per-scan noise sigma at ``time`` (quadrature sum)."""
@@ -168,119 +284,17 @@ class RadioEnvironment:
 
         The device's detection threshold is applied after noise, so weak
         APs flicker between scans — the short-term variability STONE's
-        Gaussian-noise input layer is designed to absorb.
+        Gaussian-noise input layer is designed to absorb. Noise is drawn
+        AP by AP (fading, then the device reading), skipping removed APs.
         """
-        fading_sigma = float(
-            np.sqrt(
-                self.fading_std_db**2
-                + self.temporal.interference_std_db() ** 2
-                + self.temporal.activity_noise_std_db(time) ** 2
-            )
-        )
+        fading_sigma = self._fading_std_db(time)
         out = np.full(self.n_aps, NO_SIGNAL_DBM, dtype=np.float64)
-        for ap_id in range(self.n_aps):
-            mean = self.mean_rssi_dbm(ap_id, location, time, epoch=epoch)
+        means = self.mean_rssi_vector(location, time, epoch=epoch)
+        for ap_id, mean in enumerate(means.tolist()):
             if mean <= NO_SIGNAL_DBM:
                 continue
             true_power = mean + rng.normal(0.0, fading_sigma)
             out[ap_id] = self.device.measure(true_power, rng)
-        return out
-
-    # -- vectorized RP fast path --------------------------------------------
-
-    def _epoch_arrays(
-        self, epoch: int | None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Effective (locations, tx powers, generations, active mask) per epoch.
-
-        Cached: the AP lifecycle only changes between epochs, never within
-        one, so dataset generation reuses these arrays for every scan of a
-        collection instance.
-        """
-        key = ("epoch", epoch)
-        hit = self._replacements.get(key)
-        if hit is not None:
-            return hit
-        locs = np.empty((self.n_aps, 2), dtype=np.float64)
-        tx = np.empty(self.n_aps, dtype=np.float64)
-        gens = np.zeros(self.n_aps, dtype=np.int64)
-        active = np.ones(self.n_aps, dtype=bool)
-        for ap_id in range(self.n_aps):
-            ap = self._effective_ap(ap_id, epoch)
-            if ap is None:
-                active[ap_id] = False
-                locs[ap_id] = self.access_points[ap_id].location
-                tx[ap_id] = NO_SIGNAL_DBM
-                continue
-            locs[ap_id] = ap.location
-            tx[ap_id] = ap.tx_power_dbm
-            gens[ap_id] = ap.generation
-        result = (locs, tx, gens, active)
-        self._replacements[key] = result
-        return result
-
-    def _structure_db(
-        self, rp_index: int, epoch: int | None, furniture_weight: float
-    ) -> np.ndarray:
-        """Wall attenuation + shadowing vector at an RP, cached.
-
-        Walls and shadowing are evaluated at the exact RP location; the
-        sub-meter capture jitter is folded into the fading noise instead,
-        which preserves the scan statistics while making the expensive
-        geometric terms cacheable.
-        """
-        weight_key = round(furniture_weight, 3)
-        key = ("structure", rp_index, epoch, weight_key)
-        hit = self._replacements.get(key)
-        if hit is not None:
-            return hit
-        locs, _, gens, active = self._epoch_arrays(epoch)
-        rp_loc = self.floorplan.reference_points[rp_index]
-        out = np.zeros(self.n_aps, dtype=np.float64)
-        for ap_id in range(self.n_aps):
-            if not active[ap_id]:
-                continue
-            wall = min(
-                self.floorplan.attenuation_db(locs[ap_id], rp_loc),
-                self.propagation.wall_loss_cap_db,
-            )
-            shadow = self.shadowing.shadow_db(
-                ap_id,
-                float(rp_loc[0]),
-                float(rp_loc[1]),
-                furniture_weight=furniture_weight,
-                generation=int(gens[ap_id]),
-            )
-            out[ap_id] = shadow - wall
-        self._replacements[key] = out
-        return out
-
-    def _activity_sens_vector(self, rp_index: int) -> np.ndarray:
-        """Per-AP activity sensitivity at an RP (cached; epoch-invariant)."""
-        key = ("act-sens", rp_index)
-        hit = self._replacements.get(key)
-        if hit is not None:
-            return hit
-        rp_loc = self.floorplan.reference_points[rp_index]
-        out = np.array(
-            [
-                self._activity_sensitivity(ap_id, float(rp_loc[0]), float(rp_loc[1]))
-                for ap_id in range(self.n_aps)
-            ]
-        )
-        self._replacements[key] = out
-        return out
-
-    def _drift_vector(self, time: SimTime) -> np.ndarray:
-        """Per-AP slow-drift offsets at ``time``, cached per query time."""
-        key = ("drift", round(time.hours, 6))
-        hit = self._replacements.get(key)
-        if hit is not None:
-            return hit
-        out = np.array(
-            [self.temporal.drift_db(ap_id, time) for ap_id in range(self.n_aps)]
-        )
-        self._replacements[key] = out
         return out
 
     def scan_at_rp(
@@ -299,41 +313,29 @@ class RadioEnvironment:
         (walls/shadowing use the nominal RP location — a sub-meter
         approximation that keeps those terms cacheable).
         """
-        locs, tx, _, active = self._epoch_arrays(epoch)
-        rp_loc = self.floorplan.rp_location(rp_index)
+        aps = self._epoch_aps(epoch)
+        nominal = self.floorplan.reference_points[rp_index]
+        site = self._site(nominal)
+        rp_loc = nominal
         if position_jitter_m > 0:
-            rp_loc = rp_loc + rng.normal(0.0, position_jitter_m, size=2)
-        diff = locs - rp_loc[None, :]
+            rp_loc = nominal + rng.normal(0.0, position_jitter_m, size=2)
+        diff = aps.locations - rp_loc[None, :]
         dist = np.sqrt((diff * diff).sum(axis=1))
         pl = self.propagation.path_loss.loss_db_array(dist)
-        weight = self.temporal.furniture_weight(time)
-        structure = self._structure_db(rp_index, epoch, weight)
-        mean = tx - pl + structure + self._drift_vector(time)
-        mean -= self._activity_sens_vector(rp_index) * (
+        structure = self._shadow_db(aps, nominal, time) - self._wall_db(aps, nominal, site)
+        mean = aps.tx_power_dbm - pl + structure + self.temporal.drift_db_vector(self.n_aps, time)
+        mean -= self._activity_sensitivity(nominal, site) * (
             self.temporal.activity_attenuation_db(time)
         )
-        fading_sigma = float(
-            np.sqrt(
-                self.fading_std_db**2
-                + self.temporal.interference_std_db() ** 2
-                + self.temporal.activity_noise_std_db(time) ** 2
-            )
-        )
-        true_power = mean + rng.normal(0.0, fading_sigma, size=self.n_aps)
+        true_power = mean + rng.normal(0.0, self._fading_std_db(time), size=self.n_aps)
         out = self.device.measure_array(true_power, rng)
-        out[~active] = NO_SIGNAL_DBM
+        out[~aps.active] = NO_SIGNAL_DBM
         return out
 
     def visible_ap_count(self, time: SimTime, *, epoch: int | None = None) -> int:
         """APs with detectable mean power at any RP — Fig. 3's annotation."""
-        count = 0
         threshold = self.device.detection_threshold_dbm
-        for ap_id in range(self.n_aps):
-            for rp in range(self.floorplan.n_reference_points):
-                mean = self.mean_rssi_dbm(
-                    ap_id, self.floorplan.reference_points[rp], time, epoch=epoch
-                )
-                if mean > threshold:
-                    count += 1
-                    break
-        return count
+        visible = np.zeros(self.n_aps, dtype=bool)
+        for rp_loc in self.floorplan.reference_points:
+            visible |= self.mean_rssi_vector(rp_loc, time, epoch=epoch) > threshold
+        return int(visible.sum())

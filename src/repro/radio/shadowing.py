@@ -51,32 +51,42 @@ class ShadowingField:
             self._lattice = rng.normal(0.0, 1.0, size=(ny, nx))
         return self._lattice
 
+    def _grid(self, x, y):
+        """Lattice coordinates of ``(x, y)`` (cell units from the margin)."""
+        return (x + self.margin) / self.correlation_m, (y + self.margin) / self.correlation_m
+
     def value_db(self, x: float, y: float) -> float:
         """Shadowing offset in dB at position ``(x, y)``."""
-        lattice = self._ensure_lattice()
-        gx = (x + self.margin) / self.correlation_m
-        gy = (y + self.margin) / self.correlation_m
-        ny, nx = lattice.shape
-        ix = int(np.clip(np.floor(gx), 0, nx - 2))
-        iy = int(np.clip(np.floor(gy), 0, ny - 2))
-        fx = float(np.clip(gx - ix, 0.0, 1.0))
-        fy = float(np.clip(gy - iy, 0.0, 1.0))
-        v00 = lattice[iy, ix]
-        v01 = lattice[iy, ix + 1]
-        v10 = lattice[iy + 1, ix]
-        v11 = lattice[iy + 1, ix + 1]
-        interp = (
-            v00 * (1 - fx) * (1 - fy)
-            + v01 * fx * (1 - fy)
-            + v10 * (1 - fx) * fy
-            + v11 * fx * fy
-        )
-        return float(self.sigma_db * interp)
+        return float(self.sigma_db * _bilinear(self._ensure_lattice(), *self._grid(x, y)))
 
     def values_db(self, points: np.ndarray) -> np.ndarray:
         """Vectorized :meth:`value_db` over an ``(n, 2)`` array."""
-        pts = np.asarray(points, dtype=np.float64)
-        return np.array([self.value_db(px, py) for px, py in pts])
+        pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+        gx, gy = self._grid(pts[:, 0], pts[:, 1])
+        return self.sigma_db * _bilinear(self._ensure_lattice(), gx, gy)
+
+
+def _bilinear(lattice: np.ndarray, gx, gy, rows=Ellipsis) -> np.ndarray:
+    """Bilinear interpolation of ``lattice[rows]`` at grid coordinates.
+
+    ``lattice`` is one ``(ny, nx)`` lattice sampled at arrays of points,
+    or a ``(n_fields, ny, nx)`` stack sampled at one point for the
+    fields ``rows``. Cell indices are clipped to the lattice, so points
+    outside the domain extrapolate from the border cell.
+    """
+    ny, nx = lattice.shape[-2:]
+    # minimum(maximum(...)) is np.clip's arithmetic without its per-call
+    # dispatch overhead, which dominates on a single point.
+    ix = np.minimum(np.maximum(np.floor(gx), 0), nx - 2).astype(np.intp)
+    iy = np.minimum(np.maximum(np.floor(gy), 0), ny - 2).astype(np.intp)
+    fx = np.minimum(np.maximum(gx - ix, 0.0), 1.0)
+    fy = np.minimum(np.maximum(gy - iy, 0.0), 1.0)
+    return (
+        lattice[rows, iy, ix] * (1 - fx) * (1 - fy)
+        + lattice[rows, iy, ix + 1] * fx * (1 - fy)
+        + lattice[rows, iy + 1, ix] * (1 - fx) * fy
+        + lattice[rows, iy + 1, ix + 1] * fx * fy
+    )
 
 
 @dataclass
@@ -96,6 +106,12 @@ class ShadowingModel:
     correlation_m: float = 6.0
     base_seed: int = 0
     _fields: dict = field(default_factory=dict, repr=False)
+    # Every (ap_id, layer) lattice sampled so far, once, as rows of one
+    # stack, so many APs' fields are read with a single gather.
+    _lattices: list = field(default_factory=list, repr=False)
+    _rows: dict = field(default_factory=dict, repr=False)
+    _row_sets: dict = field(default_factory=dict, repr=False)
+    _stack: np.ndarray | None = field(default=None, repr=False)
 
     def field_for(self, ap_id: int, *, layer: int = 0) -> ShadowingField:
         key = (ap_id, layer)
@@ -111,10 +127,47 @@ class ShadowingModel:
             self._fields[key] = fld
         return fld
 
-    def shadow_db(
-        self, ap_id: int, x: float, y: float, *, furniture_weight: float = 0.0, generation: int = 0
-    ) -> float:
-        """Total shadowing at (x, y) for one AP.
+    def _stack_rows(self, ap_ids: np.ndarray, layers: np.ndarray) -> np.ndarray:
+        """Stack rows of fields ``(ap_ids[i], layers[i])`` (cached per set)."""
+        set_key = ap_ids.tobytes() + layers.tobytes()
+        rows = self._row_sets.get(set_key)
+        if rows is None:
+            rows = np.empty(len(ap_ids), dtype=np.intp)
+            for i, key in enumerate(zip(ap_ids.tolist(), layers.tolist())):
+                row = self._rows.get(key)
+                if row is None:
+                    row = self._rows[key] = len(self._lattices)
+                    self._lattices.append(self.field_for(key[0], layer=key[1])._ensure_lattice())
+                rows[i] = row
+            self._row_sets[set_key] = rows
+        if self._stack is None or len(self._stack) < len(self._lattices):
+            self._stack = np.stack(self._lattices)
+        return rows
+
+    def values_db(self, ap_ids, layers, x: float, y: float) -> np.ndarray:
+        """Field ``(ap_ids[i], layers[i])``'s value at ``(x, y)``, for all i.
+
+        Every field shares the domain, so the cell and the bilinear
+        weights are computed once and each corner is one gather from
+        the lattice stack; entry i equals that field's ``value_db``.
+        """
+        ap_ids = np.asarray(ap_ids, dtype=np.int64)
+        layers = np.asarray(layers, dtype=np.int64)
+        rows = self._stack_rows(ap_ids, layers)
+        grid = self._fields[(int(ap_ids[0]), int(layers[0]))]._grid(x, y)
+        return self.sigma_db * _bilinear(self._stack, *grid, rows=rows)
+
+    def shadow_db_many(
+        self,
+        ap_ids,
+        generations,
+        x: float,
+        y: float,
+        *,
+        furniture_weight: float = 0.0,
+    ) -> np.ndarray:
+        """Total shadowing at (x, y) for each AP ``ap_ids[i]`` at
+        ``generations[i]``.
 
         ``generation`` shifts the base layer seed so a *replaced* AP gets a
         brand-new spatial pattern. ``furniture_weight`` in [0, 1] blends in
@@ -123,9 +176,20 @@ class ShadowingModel:
         """
         if not 0.0 <= furniture_weight <= 1.0:
             raise ValueError("furniture_weight must be in [0, 1]")
-        base = self.field_for(ap_id, layer=generation * 100)
-        value = float(np.sqrt(1.0 - furniture_weight**2)) * base.value_db(x, y)
+        base = np.asarray(generations, dtype=np.int64) * 100
+        value = float(np.sqrt(1.0 - furniture_weight**2)) * self.values_db(
+            ap_ids, base, x, y
+        )
         if furniture_weight > 0.0:
-            furn = self.field_for(ap_id, layer=generation * 100 + 1)
-            value += furniture_weight * furn.value_db(x, y)
+            value += furniture_weight * self.values_db(ap_ids, base + 1, x, y)
         return value
+
+    def shadow_db(
+        self, ap_id: int, x: float, y: float, *, furniture_weight: float = 0.0, generation: int = 0
+    ) -> float:
+        """Total shadowing at (x, y) for one AP (see :meth:`shadow_db_many`)."""
+        return float(
+            self.shadow_db_many(
+                [ap_id], [generation], x, y, furniture_weight=furniture_weight
+            )[0]
+        )

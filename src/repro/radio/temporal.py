@@ -28,6 +28,9 @@ import numpy as np
 from .seeding import stable_seed
 from .time import HOURS_PER_DAY, SimTime
 
+#: Months after which the secular trend stops growing (bounds its effect).
+TREND_SATURATION_MONTHS = 10.0
+
 
 def occupancy(hour_of_day: float) -> float:
     """Relative human activity level in [0, 1] by clock hour.
@@ -75,15 +78,23 @@ class OUDrift:
             nxt = prev * decay + self._rng.normal(0.0, step_sigma)
             self._samples.append(float(nxt))
 
+    def day_samples(self, day_index: int) -> tuple[float, float]:
+        """Drift (dB) at the start of day ``day_index`` and of the next day."""
+        if self.sigma_db == 0.0:
+            return 0.0, 0.0
+        self._ensure(day_index)
+        return self._samples[day_index], self._samples[day_index + 1]
+
     def value_db(self, time: SimTime) -> float:
         """Drift offset (dB) at ``time``, interpolated between daily samples."""
-        if self.sigma_db == 0.0:
-            return 0.0
         day = time.days
         k = int(np.floor(day))
-        self._ensure(k)
-        frac = day - k
-        return float((1.0 - frac) * self._samples[k] + frac * self._samples[k + 1])
+        return float(_lerp(*self.day_samples(k), day - k))
+
+
+def _lerp(start, end, frac):
+    """Linear interpolation between daily samples (scalars or arrays)."""
+    return (1.0 - frac) * start + frac * end
 
 
 @dataclass(frozen=True)
@@ -126,6 +137,8 @@ class TemporalModel:
         self.config = config
         self.base_seed = int(base_seed)
         self._drifts: dict[int, OUDrift] = {}
+        self._day_samples: dict[tuple[int, int], np.ndarray] = {}
+        self._slopes: dict[int, np.ndarray] = {}
         self._furniture_times: np.ndarray | None = None
 
     # -- slow drift ------------------------------------------------------------
@@ -153,7 +166,9 @@ class TemporalModel:
         rng = np.random.default_rng(stable_seed(self.base_seed, "trend", ap_id))
         return float(rng.normal(0.0, self.config.trend_sigma_db_per_month))
 
-    def trend_db(self, ap_id: int, time: SimTime, *, saturation_months: float = 10.0) -> float:
+    def trend_db(
+        self, ap_id: int, time: SimTime, *, saturation_months: float = TREND_SATURATION_MONTHS
+    ) -> float:
         """Secular trend offset at ``time`` (saturates to bound the effect)."""
         slope = self.trend_slope_db_per_month(ap_id)
         if slope == 0.0:
@@ -163,6 +178,9 @@ class TemporalModel:
 
     def drift_db(self, ap_id: int, time: SimTime) -> float:
         """Per-AP slow variation at ``time``: OU drift + secular trend."""
+        return self._ou(ap_id).value_db(time) + self.trend_db(ap_id, time)
+
+    def _ou(self, ap_id: int) -> OUDrift:
         drift = self._drifts.get(ap_id)
         if drift is None:
             drift = OUDrift(
@@ -171,7 +189,28 @@ class TemporalModel:
                 seed=stable_seed(self.base_seed, "drift", ap_id),
             )
             self._drifts[ap_id] = drift
-        return drift.value_db(time) + self.trend_db(ap_id, time)
+        return drift
+
+    def drift_db_vector(self, n_aps: int, time: SimTime) -> np.ndarray:
+        """Slow variation of APs ``0..n_aps-1`` at ``time``: OU drift +
+        secular trend, saturating after ``TREND_SATURATION_MONTHS``.
+
+        Each AP's OU samples bracketing ``time``'s day and its trend
+        slope are gathered once (per day, per deployment), so a call is
+        array arithmetic; entry i equals ``drift_db(i, time)``.
+        """
+        day = time.days
+        k = int(np.floor(day))
+        samples = self._day_samples.get((n_aps, k))
+        if samples is None:
+            samples = np.array([self._ou(ap).day_samples(k) for ap in range(n_aps)]).T
+            self._day_samples[(n_aps, k)] = samples
+        slopes = self._slopes.get(n_aps)
+        if slopes is None:
+            slopes = np.array([self.trend_slope_db_per_month(ap) for ap in range(n_aps)])
+            self._slopes[n_aps] = slopes
+        months = min(time.months, TREND_SATURATION_MONTHS)
+        return _lerp(samples[0], samples[1], day - k) + slopes * months
 
     # -- human activity ----------------------------------------------------------
 

@@ -424,14 +424,30 @@ class JsonHttpServer:
         finally:
             self._close_backend()
 
-    def run(self) -> int:
+    def run(
+        self, startup: dict[str, float] | None = None, *, since: float | None = None
+    ) -> int:
         """Blocking entry point (``repro serve``); returns an exit code.
 
         SIGINT/SIGTERM trigger a clean shutdown with exit code 0.
+        ``startup`` maps the finished startup stages to wall seconds;
+        when given, one ``startup:`` line (and, with ``--log-json``, a
+        ``startup`` record) reports them plus ``start_s`` — from
+        ``since`` (a ``time.perf_counter()`` stamp, default: now) to the
+        bound socket — just before the banner.
         """
         import signal
 
+        since = time.perf_counter() if since is None else since
+
         def _announce() -> None:
+            if startup is not None:
+                stages = {**startup, "start_s": time.perf_counter() - since}
+                print(
+                    "startup: " + " ".join(f"{k}={v:.3f}" for k, v in stages.items()),
+                    flush=True,
+                )
+                self.log.event("startup", **{k: round(v, 4) for k, v in stages.items()})
             print(self._banner(), flush=True)
 
         async def _main() -> None:

@@ -123,3 +123,69 @@ class TestUJISuite:
     def test_train_fpr_capped_at_nine(self):
         with pytest.raises(ValueError):
             generate_uji_suite(train_fpr=10)
+
+
+class TestByteIdentityPins:
+    """Generated corpora are pinned by content hash.
+
+    Served models are keyed by the hash of the suite they were fitted
+    on, so any change to a single generated byte silently orphans every
+    stored artifact. These literals were computed before the signal
+    chain was evaluated array-at-a-time and must never move.
+    """
+
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("office", "302fa0d00afd9dd17c88a30879daae5a87c333c386c893fec1ae5be74e59e21b"),
+            ("basement", "745a143e2c72f2e03dc947f8fe7040ff825d725d63f100043236d8efeb141504"),
+        ],
+    )
+    def test_path_suites(self, kind, digest):
+        from repro.eval.engine import suite_fingerprint
+
+        assert suite_fingerprint(generate_path_suite(kind, 0)) == digest
+
+    def test_uji_suite(self):
+        from repro.eval.engine import suite_fingerprint
+
+        assert suite_fingerprint(generate_uji_suite(0)) == (
+            "df020cf307b2233574765df2596e4d39fe59eb0e6eb910347600e0b2b4d33f6c"
+        )
+
+    def test_tiny_suite(self, tiny_suite):
+        from repro.eval.engine import suite_fingerprint
+
+        assert suite_fingerprint(tiny_suite) == (
+            "4e3f757d901600fec55481918c5bc88a0a4575fdd277f6d1057f8ea7dcc2d606"
+        )
+
+    def test_walk_rssi(self):
+        """``scan()`` (per-AP noise draws in AP order) on walks."""
+        import hashlib
+
+        from repro.tracking.trajectory import simulate_path_walk, simulate_random_walk
+
+        walk = simulate_path_walk(
+            build_environment("office", 0), epoch=12, start_time=SimTime(5.0),
+            rng=np.random.default_rng(3),
+        )
+        assert walk.rssi.shape == (12, 60)
+        assert hashlib.sha256(walk.rssi.tobytes()).hexdigest() == (
+            "8c8fe252a80d1c11a56a7de24344e94d0cf4651d9579f3cda4f74bd65380548e"
+        )
+        walk = simulate_random_walk(
+            build_environment("uji", 1), epoch=12, rng=np.random.default_rng(4)
+        )
+        assert walk.rssi.shape == (26, 60)
+        assert hashlib.sha256(walk.rssi.tobytes()).hexdigest() == (
+            "9e5e25d23bf756f74258e8b316562fc4f32b19d7585634f7548b4470c7989839"
+        )
+
+    def test_fig3_visible_ap_counts(self):
+        from repro.eval.experiments import run_fig3
+
+        series = run_fig3().series
+        assert {k: v["visible_aps"] for k, v in series.items()} == {
+            "uji": 59, "office": 51, "basement": 48,
+        }

@@ -196,3 +196,70 @@ class TestHealthz:
         assert status == 200
         assert body["version"] == __version__
         assert body["uptime_seconds"] >= 0
+
+
+class TestStartupReport:
+    """``run(startup)`` reports stage seconds once, just before the banner."""
+
+    def _run(self, knn_entry, serve_store, capsys, *, log_json):
+        import time
+
+        srv = LocalizationServer(
+            knn_entry,
+            BatchingDispatcher(knn_entry.localizer),
+            store=serve_store,
+            port=0,
+            log_json=log_json,
+        )
+        srv.log._stream = io.StringIO()
+
+        async def bound_then_stop(stop=None, *, on_ready=None):
+            on_ready()
+
+        srv.serve = bound_then_stop
+        since = time.perf_counter()
+        assert srv.run({"generate_s": 0.5, "load_s": 0.25}, since=since) == 0
+        srv._close_backend()
+        return srv, capsys.readouterr().out.splitlines()
+
+    def test_line_precedes_banner_and_parses(self, knn_entry, serve_store, capsys):
+        import re
+
+        _, lines = self._run(knn_entry, serve_store, capsys, log_json=False)
+        assert lines[0].startswith("startup: ")
+        assert "http://" in lines[1]
+        stages = dict(kv.split("=") for kv in lines[0].split()[1:])
+        assert list(stages) == ["generate_s", "load_s", "start_s"]
+        assert float(stages["generate_s"]) == 0.5
+        assert float(stages["load_s"]) == 0.25
+        assert float(stages["start_s"]) >= 0.0
+        # perfbench reads the port from the first line matching this.
+        assert re.search(r"on http://[^:\s]+:(\d+)", lines[0]) is None
+
+    def test_log_json_record_carries_the_same_stages(
+        self, knn_entry, serve_store, capsys
+    ):
+        srv, lines = self._run(knn_entry, serve_store, capsys, log_json=True)
+        records = [
+            json.loads(line) for line in srv.log._stream.getvalue().splitlines()
+        ]
+        startup = [r for r in records if r["event"] == "startup"]
+        assert len(startup) == 1
+        printed = dict(kv.split("=") for kv in lines[0].split()[1:])
+        for key, value in printed.items():
+            assert startup[0][key] == pytest.approx(float(value), abs=1e-3)
+
+    def test_no_stages_no_line(self, knn_entry, serve_store, capsys):
+        srv = LocalizationServer(
+            knn_entry, BatchingDispatcher(knn_entry.localizer), store=serve_store, port=0
+        )
+
+        async def bound_then_stop(stop=None, *, on_ready=None):
+            on_ready()
+
+        srv.serve = bound_then_stop
+        srv.run()
+        srv._close_backend()
+        assert not any(
+            line.startswith("startup:") for line in capsys.readouterr().out.splitlines()
+        )

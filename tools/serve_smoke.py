@@ -10,8 +10,10 @@ Two legs, each started as its own server process:
   ``/healthz`` must report both workers alive, then one
   ``/localize_batch`` runs the worker-pipe compute path end to end.
 
-Each leg waits for the listening line, then sends SIGINT and verifies
-the process exits with code 0 after printing ``shutdown complete``.
+Each leg waits for the listening line — which must follow one parseable
+``startup:`` line of non-negative stage seconds — then sends SIGINT and
+verifies the process exits with code 0 after printing ``shutdown
+complete``.
 
     python tools/serve_smoke.py
 """
@@ -33,6 +35,20 @@ from repro.api import API_VERSION, ReproClient  # noqa: E402
 STARTUP_TIMEOUT_S = 180.0
 
 
+STARTUP_STAGES = ("generate_s", "load_s", "start_s")
+
+
+def parse_startup(line: str) -> dict[str, float]:
+    """Stage seconds from a ``startup: generate_s=… load_s=… start_s=…`` line."""
+    stages = {}
+    for field in line.split()[1:]:
+        key, value = field.split("=")
+        stages[key] = float(value)
+    assert tuple(stages) == STARTUP_STAGES, line
+    assert all(v >= 0.0 for v in stages.values()), line
+    return stages
+
+
 def wait_for_port(process) -> int:
     """Block until the server prints its listening line; return the port.
 
@@ -49,6 +65,7 @@ def wait_for_port(process) -> int:
 
     watchdog = threading.Timer(STARTUP_TIMEOUT_S, _watchdog)
     watchdog.start()
+    startup = None
     try:
         while True:
             line = process.stdout.readline()
@@ -61,7 +78,12 @@ def wait_for_port(process) -> int:
                     f"server exited with {code} before starting"
                 )
             print(f"[server] {line.rstrip()}")
+            if line.startswith("startup:"):
+                assert startup is None, "more than one startup line"
+                startup = parse_startup(line)
             if "serving" in line and "http://" in line:
+                assert startup is not None, "no startup line before the banner"
+                print(f"startup ok: {startup}")
                 return int(line.rsplit(":", 1)[1])
     finally:
         watchdog.cancel()
