@@ -30,7 +30,11 @@ module is the worker half:
   :class:`WorkerCrashedError` (HTTP 503), never hung. Coalescing is not
   done here: each slot's
   :class:`~repro.serve.dispatcher.BatchingDispatcher` batches requests
-  and sends every flush through :meth:`WorkerPool.predict`.
+  and sends every flush through :meth:`WorkerPool.predict`. The running
+  event loop alone owns each pipe end: it writes requests without
+  blocking (FIFO per worker), reads answers in a callback and takes EOF
+  as the crash signal. Frames are ``multiprocessing.Connection``'s, so
+  :func:`worker_main` keeps a plain ``recv()``/``send()`` loop.
 
 Because ``predict_batched`` is row-independent (the
 ``BatchedLocalizer`` contract) and every slot's model state is the
@@ -47,9 +51,11 @@ import contextlib
 import itertools
 import os
 import pickle
-import threading
+import socket
+import struct
 import time
 from dataclasses import dataclass, field
+from multiprocessing.reduction import ForkingPickler
 
 import numpy as np
 
@@ -286,49 +292,67 @@ def worker_main(
 
 # -- parent-side pool -------------------------------------------------------
 
+def _frame(msg) -> bytes:
+    """``msg`` exactly as ``Connection.send`` writes it: a ``!i`` size
+    (``-1`` then a ``!Q`` size above 2 GiB), then the pickle."""
+    payload = ForkingPickler.dumps(msg)
+    n = len(payload)
+    if n > 0x7FFFFFFF:
+        return struct.pack("!iQ", -1, n) + payload
+    return struct.pack("!i", n) + payload
 
-def _call_threadsafe(loop: asyncio.AbstractEventLoop, fn, *args) -> None:
-    """``call_soon_threadsafe`` that tolerates an already-closed loop.
 
-    A worker answering (or dying) after its test's event loop finished
-    must not crash the reader thread — the futures are unobservable
-    then anyway.
-    """
-    # pragma: no cover - loop torn down mid-reply
-    with contextlib.suppress(RuntimeError):
-        loop.call_soon_threadsafe(fn, *args)
+def _unframe(buf: bytearray) -> list:
+    """Take every complete frame off the front of ``buf``, unpickled."""
+    msgs, start = [], 0
+    while len(buf) - start >= 4:
+        (size,) = struct.unpack_from("!i", buf, start)
+        body = start + 4
+        if size == -1:
+            if len(buf) - body < 8:
+                break
+            (size,) = struct.unpack_from("!Q", buf, body)
+            body += 8
+        if len(buf) - body < size:
+            break
+        msgs.append(ForkingPickler.loads(buf[body : body + size]))
+        start = body + size
+    del buf[:start]
+    return msgs
+
+
+def _fail(future: asyncio.Future, exc: BaseException) -> None:
+    if not future.done():
+        future.set_exception(exc)
 
 
 @dataclass
 class _Inflight:
     """One request awaiting a worker's answer, tracked parent-side."""
 
-    req_id: int
-    worker_id: int
     op: str
     label: str | None
+    rows: int
     future: asyncio.Future
-    loop: asyncio.AbstractEventLoop
-    scans: np.ndarray | None = None
-    retries: int = 0
 
 
 @dataclass
 class _Worker:
-    """Parent-side handle of one worker process."""
+    """Parent-side handle of one worker process and its pipe end."""
 
     id: int
     process: object
-    conn: object
-    send_lock: threading.Lock = field(default_factory=threading.Lock)
+    sock: socket.socket
     pid: int = 0
     restarts: int = 0
     jobs: int = 0
     rows: int = 0
     errors: int = 0
     outstanding: set = field(default_factory=set)
-    reader: threading.Thread | None = None
-    retired: bool = False
+    exited: bool = False
+    inbox: bytearray = field(default_factory=bytearray)  # a partial frame
+    outbox: bytearray = field(default_factory=bytearray)  # not yet written
+    respawn: asyncio.Task | None = None  # replaces an exited worker
 
 
 class WorkerPool:
@@ -378,7 +402,7 @@ class WorkerPool:
         self._placement = SlotPlacement(workers, vnodes=self._vnodes)
         self._req_ids = itertools.count(1)
         self._inflight: dict[int, _Inflight] = {}
-        self._lock = threading.Lock()
+        #: The event loop that owns every worker pipe (see :meth:`_bind`).
         self._loop: asyncio.AbstractEventLoop | None = None
         self._closed = False
         self._workers: dict[int, _Worker] = {}
@@ -404,6 +428,8 @@ class WorkerPool:
     # -- process lifecycle -------------------------------------------------
 
     def _spawn(self, worker_id: int, labels: list[str]) -> _Worker:
+        """Start one worker and block until it reports ready (the one
+        spawn path; resize and respawn run it in an executor)."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=worker_main,
@@ -420,212 +446,184 @@ class WorkerPool:
         # Parent must not hold the child's pipe end: a dangling copy
         # would defeat EOF-based crash detection for every later fork.
         child_conn.close()
-        worker = _Worker(id=worker_id, process=process, conn=parent_conn)
-        if not parent_conn.poll(READY_TIMEOUT_S):
-            process.terminate()
-            raise RuntimeError(
-                f"fleet worker {worker_id} did not report ready within "
-                f"{READY_TIMEOUT_S:.0f}s"
-            )
-        msg = parent_conn.recv()
-        if msg[0] != "ready":
-            process.join(timeout=5.0)
-            raise RuntimeError(
-                f"fleet worker {worker_id} failed to start: {msg[1]}"
-            )
-        worker.pid = msg[1]
-        worker.reader = threading.Thread(
-            target=self._read_loop,
-            args=(worker,),
-            name=f"repro-fleet-reader-{worker_id}",
-            daemon=True,
-        )
-        worker.reader.start()
-        return worker
+        try:
+            if not parent_conn.poll(READY_TIMEOUT_S):
+                process.terminate()
+                raise RuntimeError(
+                    f"fleet worker {worker_id} did not report ready within "
+                    f"{READY_TIMEOUT_S:.0f}s"
+                )
+            msg = parent_conn.recv()
+            if msg[0] != "ready":
+                process.join(timeout=5.0)
+                raise RuntimeError(
+                    f"fleet worker {worker_id} failed to start: {msg[1]}"
+                )
+            sock = socket.socket(fileno=os.dup(parent_conn.fileno()))
+        finally:
+            parent_conn.close()
+        sock.setblocking(False)
+        return _Worker(id=worker_id, process=process, sock=sock, pid=msg[1])
 
-    def _read_loop(self, worker: _Worker) -> None:
-        while True:
-            try:
-                msg = worker.conn.recv()
-            except (EOFError, OSError):
-                break
-            if msg[0] == "res":
-                self._resolve(msg[1], msg[2], msg[3])
-        self._on_worker_exit(worker)
+    def _bind(self) -> asyncio.AbstractEventLoop:
+        """Hand every pipe to the running loop if it is a new one; a
+        worker that died while no loop watched it respawns first."""
+        loop = asyncio.get_running_loop()
+        if loop is not self._loop:
+            self._loop = loop
+            for worker in self._workers.values():
+                if not worker.exited:
+                    self._attach(worker)
+                    if not worker.process.is_alive():
+                        self._on_worker_exit(worker)
+        return loop
+
+    def _attach(self, worker: _Worker) -> None:
+        self._loop.add_reader(worker.sock, self._on_readable, worker)
+        if worker.outbox:
+            self._loop.add_writer(worker.sock, self._flush, worker)
+
+    def _detach(self, worker: _Worker) -> None:
+        """Stop watching ``worker``'s pipe and close the parent's end."""
+        if worker.exited:
+            return
+        worker.exited = True
+        if self._loop is not None and not self._loop.is_closed():
+            self._loop.remove_reader(worker.sock)
+            self._loop.remove_writer(worker.sock)
+        worker.sock.close()
 
     def _on_worker_exit(self, worker: _Worker) -> None:
-        """Reader-thread exit path: respawn (crash) or stay down."""
-        with self._lock:
-            stranded = [
-                self._inflight.pop(req_id)
-                for req_id in sorted(worker.outstanding)
-                if req_id in self._inflight
-            ]
-            worker.outstanding.clear()
-        if self._closed:
-            for entry in stranded:
-                self._fail_threadsafe(
-                    entry, RuntimeError("worker pool is closed")
-                )
+        """EOF or a failed write: fail the stranded requests (a predict
+        retries once, see :meth:`_request`) and respawn an owner."""
+        if worker.exited:
             return
-        if worker.retired:
-            # A retiree crashing mid-drain: its slots already rehomed,
-            # so stranded batches retry against the new owners.
-            for entry in stranded:
-                if entry.op != "predict" or entry.retries >= MAX_CRASH_RETRIES:
-                    self._fail_threadsafe(
-                        entry,
-                        WorkerCrashedError(worker.id, entry.label or "?"),
-                    )
-                else:
-                    entry.retries += 1
-                    _call_threadsafe(entry.loop, self._redispatch, entry)
-            return
-        worker.restarts += 1
-        try:
-            # Warm respawn: the payload bundle (pickles + shared-memory
-            # handles) is retained parent-side and the segments are
-            # still linked, so the replacement maps the same model pages
-            # and is ready without refitting or re-publication.
-            labels = [
-                label
-                for label, owner in self._owner.items()
-                if owner == worker.id
-            ]
-            replacement = self._spawn(worker.id, labels)
-            replacement.restarts = worker.restarts
-            replacement.jobs = worker.jobs
-            replacement.rows = worker.rows
-            replacement.errors = worker.errors
-            self._workers[worker.id] = replacement
-        except Exception:
-            for entry in stranded:
-                self._fail_threadsafe(
-                    entry, WorkerCrashedError(worker.id, entry.label or "?")
-                )
-            return
-        for entry in stranded:
-            if entry.op != "predict" or entry.retries >= MAX_CRASH_RETRIES:
-                self._fail_threadsafe(
-                    entry, WorkerCrashedError(worker.id, entry.label or "?")
-                )
-            else:
-                entry.retries += 1
-                entry.loop.call_soon_threadsafe(self._redispatch, entry)
+        self._detach(worker)
+        stranded = [
+            self._inflight.pop(req_id)
+            for req_id in sorted(worker.outstanding)
+            if req_id in self._inflight
+        ]
+        worker.outstanding.clear()
+        for entry in stranded:  # close() has already failed its own
+            _fail(entry.future, WorkerCrashedError(worker.id, entry.label or "?"))
+        if self._workers.get(worker.id) is worker:  # not retired or closed
+            worker.restarts += 1
+            worker.respawn = self._loop.create_task(self._respawn(worker))
 
-    def _redispatch(self, entry: _Inflight) -> None:
-        """Re-send a crash-stranded predict to the slot's current owner."""
-        if self._closed:
-            self._fail(entry, RuntimeError("worker pool is closed"))
-            return
-        worker = self._workers[self._owner[entry.label]]
-        with self._lock:
-            self._inflight[entry.req_id] = entry
-            worker.outstanding.add(entry.req_id)
-            entry.worker_id = worker.id
-        try:
-            self._send(worker, ("req", entry.req_id, "predict",
-                                (entry.label, entry.scans)))
-        except (OSError, ValueError) as exc:
-            with self._lock:
-                self._inflight.pop(entry.req_id, None)
-                worker.outstanding.discard(entry.req_id)
-            self._fail(entry, WorkerCrashedError(worker.id, entry.label or "?"))
+    async def _respawn(self, dead: _Worker) -> _Worker | None:
+        """Install ``dead``'s replacement (``None`` if no longer wanted),
+        warm from the retained payloads over the still-linked segments."""
+        loop = asyncio.get_running_loop()
+        labels = [
+            label for label, owner in self._owner.items() if owner == dead.id
+        ]
+        replacement = await loop.run_in_executor(
+            None, self._spawn, dead.id, labels
+        )
+        if self._workers.get(dead.id) is not dead:  # retired or closed
+            replacement.sock.close()  # EOF: the worker exits on its own
+            return None
+        replacement.restarts = dead.restarts
+        replacement.jobs = dead.jobs
+        replacement.rows = dead.rows
+        replacement.errors = dead.errors
+        self._workers[dead.id] = replacement
+        self._attach(replacement)
+        return replacement
 
-    # -- request plumbing --------------------------------------------------
+    async def _await_respawn(self, dead: _Worker, label: str | None) -> _Worker:
+        """``dead``'s replacement; a failed respawn raises at once and
+        the next call spawns again."""
+        respawn = dead.respawn
+        if respawn is None or (
+            respawn.done()
+            and (respawn.cancelled() or respawn.exception() is not None)
+        ):
+            respawn = dead.respawn = self._loop.create_task(self._respawn(dead))
+        try:
+            replacement = await asyncio.shield(respawn)
+        except Exception as exc:
+            raise WorkerCrashedError(dead.id, label or "?") from exc
+        if replacement is None:
+            raise WorkerCrashedError(dead.id, label or "?")
+        return replacement
+
+    # -- pipe I/O (event-loop thread only) ---------------------------------
 
     def _send(self, worker: _Worker, msg: tuple) -> None:
-        # Connection.send is not atomic across threads; serialize per
-        # worker (loop thread, executor threads and close() all send).
-        with worker.send_lock:
-            worker.conn.send(msg)
+        idle = not worker.outbox
+        worker.outbox += _frame(msg)
+        if idle:
+            self._flush(worker)
 
-    def _resolve(self, req_id: int, ok: bool, value) -> None:
-        with self._lock:
-            entry = self._inflight.pop(req_id, None)
-            if entry is None:  # raced with crash cleanup
-                return
-            worker = self._workers.get(entry.worker_id)
-            if worker is not None:
-                worker.outstanding.discard(req_id)
-                if entry.op == "predict":
-                    if ok:
-                        worker.jobs += 1
-                        worker.rows += int(entry.scans.shape[0])
-                    else:
-                        worker.errors += 1
-        if ok:
-            _call_threadsafe(entry.loop, self._succeed, entry, value)
+    def _flush(self, worker: _Worker) -> None:
+        """Write what the pipe takes now; the loop calls again, keeping
+        the order, once a worker busy mid-batch drains it."""
+        try:
+            del worker.outbox[: worker.sock.send(worker.outbox)]
+        except BlockingIOError:
+            pass
+        except OSError:
+            self._on_worker_exit(worker)
+            return
+        if worker.outbox:
+            self._loop.add_writer(worker.sock, self._flush, worker)
         else:
-            self._fail_threadsafe(entry, RuntimeError(str(value)))
+            self._loop.remove_writer(worker.sock)
 
-    @staticmethod
-    def _succeed(entry: _Inflight, value) -> None:
-        if not entry.future.done():
+    def _on_readable(self, worker: _Worker) -> None:
+        try:
+            data = worker.sock.recv(1 << 16)
+        except BlockingIOError:
+            return
+        except OSError:
+            data = b""
+        if not data:
+            self._on_worker_exit(worker)
+            return
+        worker.inbox += data
+        for msg in _unframe(worker.inbox):
+            if msg[0] == "res":
+                self._resolve(worker, msg[1], msg[2], msg[3])
+
+    def _resolve(self, worker: _Worker, req_id: int, ok: bool, value) -> None:
+        entry = self._inflight.pop(req_id, None)
+        if entry is None:  # a stop's answer, or failed by close()
+            return
+        worker.outstanding.discard(req_id)
+        if entry.op == "predict":
+            if ok:
+                worker.jobs += 1
+                worker.rows += entry.rows
+            else:
+                worker.errors += 1
+        if not ok:
+            _fail(entry.future, RuntimeError(str(value)))
+        elif not entry.future.done():
             entry.future.set_result(value)
 
-    @staticmethod
-    def _fail(entry: _Inflight, exc: BaseException) -> None:
-        if not entry.future.done():
-            entry.future.set_exception(exc)
-
-    def _fail_threadsafe(self, entry: _Inflight, exc: BaseException) -> None:
-        _call_threadsafe(entry.loop, self._fail, entry, exc)
-
-    async def _request(self, worker: _Worker, op: str, args, *,
-                       label: str | None = None,
-                       scans: np.ndarray | None = None):
-        loop = asyncio.get_running_loop()
-        self._loop = loop
-        entry = _Inflight(
-            req_id=next(self._req_ids),
-            worker_id=worker.id,
-            op=op,
-            label=label,
-            future=loop.create_future(),
-            loop=loop,
-            scans=scans,
-        )
-        with self._lock:
-            self._inflight[entry.req_id] = entry
-            worker.outstanding.add(entry.req_id)
-        try:
-            # Off the loop: a send can block on a pipe whose worker is
-            # mid-batch, and admission must keep running meanwhile.
-            await loop.run_in_executor(
-                None, self._send, worker, ("req", entry.req_id, op, args)
-            )
-        except (OSError, ValueError):
-            # Worker died between placement lookup and send. The crash
-            # path may have already claimed the entry (reader thread
-            # races the send); whoever still holds it owns the retry.
-            with self._lock:
-                entry_live = self._inflight.pop(entry.req_id, None) is not None
-                worker.outstanding.discard(entry.req_id)
-            if entry_live:
-                if entry.op == "predict" and entry.retries < MAX_CRASH_RETRIES:
-                    entry.retries += 1
-                    await self._await_respawn(worker)
-                    self._redispatch(entry)
-                else:
-                    self._fail(
-                        entry,
-                        WorkerCrashedError(worker.id, entry.label or "?"),
-                    )
-        return await entry.future
-
-    async def _await_respawn(self, dead: _Worker) -> None:
-        """Wait (bounded) until a crashed worker's slot has a live body."""
-        deadline = time.monotonic() + READY_TIMEOUT_S
-        while time.monotonic() < deadline and not self._closed:
-            current = self._workers.get(dead.id)
-            if (
-                current is not None
-                and current is not dead
-                and current.process.is_alive()
-            ):
-                return
-            await asyncio.sleep(0.01)
+    async def _request(self, op: str, args, *, worker_id: int | None = None,
+                       label: str | None = None, rows: int = 0):
+        """One round trip. A crash strands it: a predict is re-sent once
+        to its slot's current owner, anything else raises."""
+        loop = self._bind()
+        for attempt in range(MAX_CRASH_RETRIES + 1):
+            if op == "predict":
+                worker_id = self._owner[label]
+            worker = self._workers[worker_id]
+            while worker.exited:  # the replacement may die before we send
+                worker = await self._await_respawn(worker, label)
+            req_id = next(self._req_ids)
+            entry = _Inflight(op, label, rows, loop.create_future())
+            self._inflight[req_id] = entry
+            worker.outstanding.add(req_id)
+            self._send(worker, ("req", req_id, op, args))
+            try:
+                return await entry.future
+            except WorkerCrashedError:
+                if op != "predict" or attempt == MAX_CRASH_RETRIES:
+                    raise
 
     # -- public surface ----------------------------------------------------
 
@@ -641,9 +639,8 @@ class WorkerPool:
             raise RuntimeError("worker pool is closed")
         if label not in self._payloads:
             raise KeyError(f"unknown slot {label!r}")
-        worker = self._workers[self._owner[label]]
         return await self._request(
-            worker, "predict", (label, scans), label=label, scans=scans
+            "predict", (label, scans), label=label, rows=int(scans.shape[0])
         )
 
     async def collect_metrics(self) -> list[MetricsSnapshot]:
@@ -653,13 +650,10 @@ class WorkerPool:
         op FIFOs behind in-flight predicts, so a snapshot is a
         consistent point-in-time view of that worker's counters.
         """
-        workers = [
-            worker
-            for worker in self._workers.values()
-            if worker.process.is_alive() and not worker.retired
-        ]
+        self._bind()
+        ids = [w.id for w in self._workers.values() if not w.exited]
         results = await asyncio.gather(
-            *(self._request(worker, "metrics", None) for worker in workers),
+            *(self._request("metrics", None, worker_id=i) for i in ids),
             return_exceptions=True,
         )
         return [
@@ -700,24 +694,20 @@ class WorkerPool:
         old_region = self._slot_regions[label]
         self._payloads[label] = payload
         self._slot_regions[label] = region
-        worker = self._workers[self._owner[label]]
         try:
-            await self._request(worker, "adopt", [payload])
+            await self._request(
+                "adopt", [payload], worker_id=self._owner[label]
+            )
         except WorkerCrashedError:
             # The owner died mid-swap. Its warm respawn *usually*
             # rehydrates from the already-updated payload bundle, but
             # the spawn can race the update and capture the old one —
-            # so re-adopt on the replacement (adopting an already-live
-            # payload is idempotent: the worker just remaps it).
-            await self._await_respawn(worker)
-            replacement = self._workers[self._owner[label]]
-            try:
-                await self._request(replacement, "adopt", [payload])
-            except WorkerCrashedError:
-                # The replacement crashing too means its own respawn
-                # started after the bundle update and reads the new
-                # version — nothing left to adopt.
-                pass
+            # so re-adopt on the replacement (idempotent). If that one
+            # dies too, its respawn reads the new version.
+            with contextlib.suppress(WorkerCrashedError):
+                await self._request(
+                    "adopt", [payload], worker_id=self._owner[label]
+                )
         old_region.unlink()
 
     # -- topology change ---------------------------------------------------
@@ -739,23 +729,25 @@ class WorkerPool:
         3. ``drop`` moved slots from their old owners. FIFO pipes mean
            any batch sent before the switch is answered before the
            drop is processed — in-flight work completes.
-        4. Retire surplus workers only after their outstanding set
-           drains.
+        4. ``stop`` surplus workers: FIFO again, so each answers all
+           its in-flight work first, and the loop reads it before EOF.
         """
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if self._closed:
             raise RuntimeError("worker pool is closed")
-        loop = asyncio.get_running_loop()
+        loop = self._bind()
         old = self._placement
         new = SlotPlacement(workers, vnodes=self._vnodes)
         moves = old.moves_to(new, self._labels)
         assign = new.assign(self._labels)
         spawned = [w for w in assign if w not in self._workers]
         for worker_id in spawned:
-            self._workers[worker_id] = await loop.run_in_executor(
+            worker = await loop.run_in_executor(
                 None, self._spawn, worker_id, assign[worker_id]
             )
+            self._workers[worker_id] = worker
+            self._attach(worker)
         adoptions: dict[int, list[str]] = {}
         for move in moves:
             if move.target not in spawned:
@@ -763,9 +755,9 @@ class WorkerPool:
         await asyncio.gather(
             *(
                 self._request(
-                    self._workers[worker_id],
                     "adopt",
                     [self._payloads[label] for label in labels],
+                    worker_id=worker_id,
                 )
                 for worker_id, labels in adoptions.items()
             )
@@ -782,20 +774,16 @@ class WorkerPool:
         retired = [w for w in self._workers if w not in assign]
         await asyncio.gather(
             *(
-                self._request(self._workers[worker_id], "drop", labels)
+                self._request("drop", labels, worker_id=worker_id)
                 for worker_id, labels in drops.items()
                 if worker_id in assign  # retirees just drain and stop
             )
         )
         for worker_id in retired:
-            worker = self._workers[worker_id]
-            worker.retired = True
-            while worker.outstanding:
-                await asyncio.sleep(0.005)
-            with contextlib.suppress(OSError, ValueError):
+            worker = self._workers.pop(worker_id)
+            if not worker.exited:
                 self._send(worker, ("req", next(self._req_ids), "stop", None))
             await loop.run_in_executor(None, worker.process.join, 10.0)
-            del self._workers[worker_id]
         return {
             "workers": workers,
             "moved_slots": [move.slot for move in moves],
@@ -806,33 +794,31 @@ class WorkerPool:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Stop workers, fail pending work, unlink the shared segments."""
+        """Stop workers, fail pending work, unlink the shared segments.
+
+        Synchronous (a server's shutdown, or no loop running at all):
+        the stops are blocking sends.
+        """
         if self._closed:
             return
         self._closed = True
-        with self._lock:
-            stranded = list(self._inflight.values())
-            self._inflight.clear()
+        stranded = list(self._inflight.values())
+        self._inflight.clear()
         for entry in stranded:
-            self._fail_threadsafe(
-                entry, RuntimeError("worker pool is closed")
-            )
+            _fail(entry.future, RuntimeError("worker pool is closed"))
+        stop = _frame(("req", next(self._req_ids), "stop", None))
         for worker in self._workers.values():
-            worker.retired = True
-            with contextlib.suppress(OSError, ValueError):
-                self._send(worker, ("req", next(self._req_ids), "stop", None))
+            if not worker.exited:
+                with contextlib.suppress(OSError):  # backlog first, blocking
+                    worker.sock.settimeout(5.0)
+                    worker.sock.sendall(worker.outbox + stop)
         deadline = time.monotonic() + 10.0
         for worker in self._workers.values():
             worker.process.join(timeout=max(0.1, deadline - time.monotonic()))
             if worker.process.is_alive():  # pragma: no cover - stuck worker
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
-            # The reader sees EOF once the worker is gone; let it exit
-            # before closing the pipe under its blocking recv().
-            if worker.reader is not None:
-                worker.reader.join(timeout=5.0)
-            with contextlib.suppress(OSError):  # pragma: no cover - closed
-                worker.conn.close()
+            self._detach(worker)
         self._workers.clear()
         # Owner-side unlink: removes the /dev/shm entries. Workers only
         # ever close() their mappings, so this is the single release

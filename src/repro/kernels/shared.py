@@ -42,9 +42,11 @@ def _hold_tracker_lock_across_fork() -> None:
 
     Creating, attaching and unlinking a segment all talk to the
     resource tracker under its lock, and drop the GIL mid-write. A
-    thread forking a fleet worker at that moment (a crash respawn does,
-    from a pipe-reader thread) would hand the child a lock no thread
-    will ever release, and the child's own attach would block forever.
+    thread forking a fleet worker at that moment (a crash respawn or a
+    resize does, from an executor thread, while other executor threads
+    may publish a hot-swap's segment) would hand the child a lock no
+    thread will ever release, and the child's own attach would block
+    forever.
     Holding the lock across every fork closes that window.
     """
     lock = resource_tracker._resource_tracker._lock

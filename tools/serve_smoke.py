@@ -9,6 +9,10 @@ Two legs, each started as its own server process:
 * fleet with worker processes — ``--fleet HQ:2 --workers 2``:
   ``/healthz`` must report both workers alive, then one
   ``/localize_batch`` runs the worker-pipe compute path end to end.
+  Then one worker pid from ``/fleet`` is SIGKILLed: the next
+  ``/localize_batch`` must still answer 200 and ``/healthz`` must
+  count the restart. After shutdown no worker pid the smoke saw may
+  still be running.
 
 Each leg waits for the listening line — which must follow one parseable
 ``startup:`` line of non-negative stage seconds — then sends SIGINT and
@@ -25,6 +29,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -103,7 +108,20 @@ def check_single(client: ReproClient) -> None:
     print(f"localize ok: {result.location.tolist()}")
 
 
-def check_fleet(client: ReproClient) -> None:
+def worker_pids(client: ReproClient) -> set[int]:
+    return {w["pid"] for w in client.fleet()["dispatch"]["executor"]["workers"]}
+
+
+def pid_running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie (Linux ``/proc``)."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def check_fleet(client: ReproClient) -> set[int]:
     health = client.healthz()
     assert health["status"] == "ok", health
     workers = health["workers"]
@@ -117,9 +135,35 @@ def check_fleet(client: ReproClient) -> None:
     assert len(result.routing) == 2, result.raw
     print(f"localize_batch ok: {result.locations.tolist()}")
 
+    seen = worker_pids(client)
+    victim = min(seen)
+    os.kill(victim, signal.SIGKILL)
+    retries = client.retries
+    result = client.localize_batch(scans)
+    assert client.retries == retries, "the request after a crash was refused"
+    assert result.locations.shape == (2, 2), result
+    # The crash is counted when the server's loop reads EOF on the
+    # victim's pipe, and the replacement is up once its spawn returns;
+    # neither need precede that answer.
+    deadline = time.monotonic() + 60.0
+    while True:
+        workers = client.healthz()["workers"]
+        if workers["restarts"] >= 1 and workers["alive"] == 2:
+            break
+        assert time.monotonic() < deadline, f"no warm respawn: {workers}"
+        time.sleep(0.05)
+    seen |= worker_pids(client)
+    assert len(seen) == 3, seen
+    print(f"worker {victim} SIGKILLed: localize_batch ok, respawned warm")
+    return seen
+
 
 def run_leg(serve_args: list[str], check) -> None:
-    """Start ``repro serve <serve_args>``, run ``check``, SIGINT it."""
+    """Start ``repro serve <serve_args>``, run ``check``, SIGINT it.
+
+    ``check`` may return the worker pids it saw; none of them may
+    outlive the server.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         f"{REPO_ROOT / 'src'}{os.pathsep}{env['PYTHONPATH']}"
@@ -137,7 +181,7 @@ def run_leg(serve_args: list[str], check) -> None:
     try:
         port = wait_for_port(process)
         with ReproClient(port=port) as client:
-            check(client)
+            pids = check(client) or set()
 
         process.send_signal(signal.SIGINT)
         code = process.wait(timeout=60)
@@ -146,6 +190,8 @@ def run_leg(serve_args: list[str], check) -> None:
             print(f"[server] {line}")
         assert code == 0, f"server exited with {code}"
         assert "shutdown complete" in remainder, "no clean-shutdown marker"
+        left = sorted(pid for pid in pids if pid_running(pid))
+        assert not left, f"worker processes left running: {left}"
         print("clean shutdown ok")
     finally:
         if process.poll() is None:
