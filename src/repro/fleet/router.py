@@ -7,9 +7,12 @@ An incoming fleet-wide scan resolves in three stages, cheapest first:
    (tie-broken by total received power, then by block order). No
    training, nothing to go stale — in keeping with the paper's theme.
 2. **Floor** — the building's fitted
-   :class:`~repro.multifloor.FloorClassifier` over its own columns.
-   Floors the classifier names but no slot serves fall back to the
-   nearest fitted floor (mirroring the hierarchical localizer).
+   :class:`~repro.multifloor.FloorClassifier` over its own columns: a
+   K-nearest vote against cached reference norms, counted for the whole
+   batch at once. Floors the classifier names but no slot serves snap
+   to the nearest fitted floor, ties to the lower
+   (:func:`~repro.multifloor.nearest_fitted_floor`, shared with the
+   hierarchical localizer).
 3. **Slot** — the ``(building, floor)`` slot's warm localizer predicts
    ``(x, y)`` on the floor's own floorplan.
 
@@ -17,7 +20,10 @@ Routing is *row-independent and deterministic*: a batch is grouped by
 resolved slot, each group rides one ``predict_batched`` call on the
 building-block columns, and results scatter back to arrival order —
 bit-identical to querying each target slot's localizer directly
-(``tests/fleet/test_router.py`` asserts the property).
+(``tests/fleet/test_router.py`` asserts the property). Stages 1–2 cost
+O(rows × floor-classifier reference rows) (:meth:`ScanRouter.floor_refs`);
+the serving front-end runs them inline on its event loop below a fixed
+bound on that product and on an executor above it.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..baselines.base import BatchedLocalizer
+from ..multifloor import nearest_fitted_floor
 from ..radio.access_point import NO_SIGNAL_DBM
 from .registry import FleetRegistry, SlotId
 
@@ -83,6 +90,16 @@ class ScanRouter:
 
     # -- classification ----------------------------------------------------
 
+    def floor_refs(self, building: str | None = None) -> int:
+        """Floor-classifier reference rows one scan is compared against.
+
+        The pinned building's count, or the largest building's when the
+        building is still to be classified.
+        """
+        if building is not None:
+            return self.registry.building(building).floor_classifier.n_refs
+        return max(d.floor_classifier.n_refs for d in self.registry.buildings)
+
     def classify_buildings(self, scans: np.ndarray) -> np.ndarray:
         """Audibility-signature building detection per row.
 
@@ -104,23 +121,6 @@ class ScanRouter:
         key = counts + power / (power.max() + 1.0)
         return np.argmax(key, axis=1).astype(np.int64)
 
-    @staticmethod
-    def _resolve_floors(deployment, predicted: np.ndarray) -> np.ndarray:
-        """Snap classifier floor labels to the deployment's fitted slots.
-
-        Floors the classifier names but no slot serves fall back to the
-        nearest fitted floor (``argmin`` ties resolve to the lower one,
-        the same policy as the hierarchical localizer).
-        """
-        fitted = np.asarray(deployment.floors)
-        out = np.empty(predicted.shape[0], dtype=np.int64)
-        for i, f in enumerate(predicted):
-            f = int(f)
-            if f not in deployment.slots:
-                f = int(fitted[np.abs(fitted - f).argmin()])
-            out[i] = f
-        return out
-
     def route(self, scans: np.ndarray) -> RoutingDecision:
         """Hierarchically classify every row into a fitted slot."""
         scans = self.check_scans(scans)
@@ -133,7 +133,7 @@ class ScanRouter:
             predicted = deployment.floor_classifier.predict(
                 deployment.block(scans[rows])
             )
-            floors[rows] = self._resolve_floors(deployment, predicted)
+            floors[rows] = nearest_fitted_floor(predicted, deployment.floors)
         return RoutingDecision(building_idx=building_idx, floors=floors)
 
     def decide(
@@ -191,7 +191,7 @@ class ScanRouter:
         b = self.registry.building_index(building)
         deployment = self.registry.buildings[b]
         predicted = deployment.floor_classifier.predict(deployment.block(scans))
-        floors = self._resolve_floors(deployment, predicted)
+        floors = nearest_fitted_floor(predicted, deployment.floors)
         return RoutingDecision(
             building_idx=np.full(scans.shape[0], b, dtype=np.int64),
             floors=floors,

@@ -10,7 +10,11 @@ framework, and EvAAL-style combined error metrics.
 from .building import Building, SlabModel
 from .dataset import MultiFloorDataset, MultiFloorSuite, floor_local_dataset
 from .generator import MultiFloorConfig, floor_suite, generate_multifloor_suite
-from .hierarchical import FloorClassifier, HierarchicalLocalizer
+from .hierarchical import (
+    FloorClassifier,
+    HierarchicalLocalizer,
+    nearest_fitted_floor,
+)
 from .metrics import (
     MultiFloorEpochResult,
     combined_error_m,
@@ -33,4 +37,5 @@ __all__ = [
     "floor_local_dataset",
     "floor_suite",
     "generate_multifloor_suite",
+    "nearest_fitted_floor",
 ]

@@ -33,7 +33,9 @@ class FloorClassifier:
             raise ValueError("k must be positive")
         self.k = int(k)
         self._vectors: np.ndarray | None = None
-        self._floors: np.ndarray | None = None
+        self._sq_norms: np.ndarray | None = None
+        self._labels: np.ndarray | None = None
+        self._label_idx: np.ndarray | None = None
 
     def fit(self, rssi: np.ndarray, floors: np.ndarray) -> FloorClassifier:
         rssi = np.asarray(rssi, dtype=np.float64)
@@ -43,27 +45,55 @@ class FloorClassifier:
         if floors.shape != (rssi.shape[0],):
             raise ValueError("floors must align with rssi rows")
         self._vectors = normalize_rssi(rssi)
-        self._floors = floors
+        self._sq_norms = (self._vectors * self._vectors).sum(axis=1)
+        # Sorted distinct floors; each reference's position among them.
+        self._labels, self._label_idx = np.unique(floors, return_inverse=True)
         return self
 
+    @property
+    def n_refs(self) -> int:
+        """Reference fingerprints each query is compared against."""
+        if self._vectors is None:
+            raise RuntimeError("FloorClassifier used before fit()")
+        return int(self._vectors.shape[0])
+
     def predict(self, rssi: np.ndarray) -> np.ndarray:
-        """Majority floor among the K nearest reference fingerprints."""
+        """Majority floor among the K nearest reference fingerprints.
+
+        Vote ties go to the lowest floor.
+        """
         if self._vectors is None:
             raise RuntimeError("FloorClassifier used before fit()")
         q = normalize_rssi(np.atleast_2d(np.asarray(rssi, dtype=np.float64)))
         refs = self._vectors
         d2 = (
             (q * q).sum(axis=1)[:, None]
-            + (refs * refs).sum(axis=1)[None, :]
+            + self._sq_norms[None, :]
             - 2.0 * q @ refs.T
         )
         k = min(self.k, refs.shape[0])
         idx = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        out = np.empty(q.shape[0], dtype=np.int64)
-        for i in range(q.shape[0]):
-            values, counts = np.unique(self._floors[idx[i]], return_counts=True)
-            out[i] = values[counts.argmax()]
-        return out
+        # One count per (row, floor) over the whole batch; argmax picks
+        # the first maximum, and labels are sorted ascending.
+        n_labels = self._labels.shape[0]
+        offsets = n_labels * np.arange(q.shape[0])[:, None]
+        counts = np.bincount(
+            (self._label_idx[idx] + offsets).ravel(),
+            minlength=q.shape[0] * n_labels,
+        ).reshape(q.shape[0], n_labels)
+        return self._labels[counts.argmax(axis=1)]
+
+
+def nearest_fitted_floor(predicted: np.ndarray, fitted: np.ndarray) -> np.ndarray:
+    """Snap each predicted floor to the nearest of ``fitted``.
+
+    ``fitted`` must be sorted ascending, so a floor equidistant from two
+    fitted ones snaps to the lower (``argmin`` returns the first
+    minimum). Fitted floors map to themselves.
+    """
+    fitted = np.asarray(fitted, dtype=np.int64)
+    predicted = np.asarray(predicted, dtype=np.int64)
+    return fitted[np.abs(fitted[None, :] - predicted[:, None]).argmin(axis=1)]
 
 
 class HierarchicalLocalizer:
@@ -126,12 +156,10 @@ class HierarchicalLocalizer:
         if not self._fitted:
             raise RuntimeError("HierarchicalLocalizer used before fit()")
         rssi = np.atleast_2d(np.asarray(rssi, dtype=np.float64))
-        floors = self.floor_classifier.predict(rssi)
-        available = np.asarray(sorted(self.per_floor))
         # Route unfittable floors to the nearest fitted one.
-        for i, f in enumerate(floors):
-            if int(f) not in self.per_floor:
-                floors[i] = available[np.abs(available - f).argmin()]
+        floors = nearest_fitted_floor(
+            self.floor_classifier.predict(rssi), sorted(self.per_floor)
+        )
         coords = np.empty((rssi.shape[0], 2), dtype=np.float64)
         for floor in np.unique(floors):
             rows = floors == floor

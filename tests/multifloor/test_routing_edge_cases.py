@@ -59,10 +59,10 @@ class TestRoutingFallback:
         hl = HierarchicalLocalizer(lambda floor: KNNLocalizer())
         hl.fit(train, building)
         assert sorted(hl.per_floor) == [0, 2]
-        # Inject a floor label with no localizer into the classifier's
-        # reference set to exercise the nearest-available fallback.
-        hl.floor_classifier._floors = np.full_like(
-            hl.floor_classifier._floors, 1
+        # Refit the classifier with a floor label that has no localizer
+        # to exercise the nearest-available fallback.
+        hl.floor_classifier.fit(
+            train.fingerprints.rssi, np.ones(train.n_samples, dtype=np.int64)
         )
         floors, coords = hl.predict(train.fingerprints.rssi[:3])
         assert set(floors.tolist()) <= {0, 2}

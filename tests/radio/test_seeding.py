@@ -2,9 +2,11 @@
 
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.radio.seeding import stable_seed
 
 
@@ -36,15 +38,20 @@ class TestStableSeed:
             "from repro.radio.seeding import stable_seed;"
             "print(stable_seed(7, 'drift', 3))"
         )
+        # The child imports the same `repro` this process imported.
+        src = str(Path(repro.__file__).resolve().parents[1])
         outs = set()
         for hash_seed in ("0", "12345"):
             result = subprocess.run(
                 [sys.executable, "-c", code],
                 capture_output=True,
                 text=True,
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+                env={
+                    "PYTHONHASHSEED": hash_seed,
+                    "PATH": "/usr/bin:/bin",
+                    "PYTHONPATH": src,
+                },
             )
-            if result.returncode != 0:
-                pytest.skip(f"subprocess unavailable: {result.stderr[:100]}")
+            assert result.returncode == 0, result.stderr
             outs.add(result.stdout.strip())
         assert len(outs) == 1
