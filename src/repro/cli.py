@@ -26,7 +26,9 @@ import argparse
 import sys
 import time
 from collections.abc import Sequence
+from dataclasses import fields
 
+from .api import FleetSpec, IndexSpec, LocalizerSpec, ServeSpec, engine_index
 from .baselines.registry import PAPER_FRAMEWORKS
 from .datasets import generate_path_suite, generate_uji_suite, suite_summary_table
 from .eval import (
@@ -69,40 +71,24 @@ def _suite_for(name: str, seed: int):
     return generate_path_suite(name, seed)
 
 
-_CHUNK_SIZE_HELP = (
-    "max query rows per inference block; bounds peak memory, "
-    "never changes results (default: unchunked)"
-)
-
-
 def _index_spec(args: argparse.Namespace):
     """Build the public IndexSpec the CLI flags describe (or None)."""
-    if args.index == "exhaustive":
-        if args.n_shards != 16 or args.n_probe != 4:
-            print(
-                "note: --n-shards/--n-probe have no effect without "
-                "--index region|kmeans (the default is exhaustive search)"
-            )
-        return None
-    from .api import IndexSpec
-
-    return IndexSpec(
-        kind=args.index,
-        n_shards=args.n_shards,
-        n_probe=args.n_probe,
-        seed=args.seed,
-    )
+    spec = IndexSpec(seed=args.seed, **_spec_args(IndexSpec, args))
+    if spec.is_exhaustive and spec != IndexSpec(seed=args.seed):
+        print(
+            "note: --n-shards/--n-probe have no effect without "
+            "--index region|kmeans (the default is exhaustive search)"
+        )
+    return engine_index(spec)
 
 
 def _engine_opts(args: argparse.Namespace) -> dict:
     """Collect the evaluation-engine flags shared by figure/compare."""
-    from .api import engine_index
-
     return {
         "jobs": args.jobs,
         "chunk_size": args.chunk_size,
         "cache_dir": args.cache_dir,
-        "index": engine_index(_index_spec(args)),
+        "index": _index_spec(args),
     }
 
 
@@ -116,12 +102,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
             "(default: 1, serial; 0 = one per available CPU)"
         ),
     )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help=_CHUNK_SIZE_HELP,
-    )
+    # Same flag (and semantics) as the serving knob.
+    _add_spec_flags(parser, ServeSpec, ("chunk_size",))
     parser.add_argument(
         "--cache-dir",
         default=None,
@@ -131,7 +113,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
             "(default: no cache)"
         ),
     )
-    _add_index_flags(parser)
+    _add_spec_flags(parser, IndexSpec)
 
 
 def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
@@ -142,8 +124,7 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
         metavar="NAME",
         help=(
             "kernel backend for the radio-map distance path: "
-            "'reference' (exact float64, the default), 'blas64' "
-            "(bit-identical, pinned through the seam), 'blas' "
+            "'reference' (exact float64, the default), 'blas' "
             "(float32 sgemm, ~2x faster, bounded error) or 'quantized' "
             "(int8 codes, 8x smaller radio maps); unset falls back to "
             "$REPRO_KERNEL_BACKEND, then 'reference' (applies to "
@@ -154,7 +135,7 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
 
 def _backend_for(args: argparse.Namespace, caps) -> str | None:
     """Resolve the --backend flag against a framework's capabilities."""
-    backend = getattr(args, "backend", None)
+    backend = args.backend
     if backend is not None and not caps.supports_kernel_backend:
         print(
             f"note: {caps.name} has no kernel-backend seam — "
@@ -162,38 +143,6 @@ def _backend_for(args: argparse.Namespace, caps) -> str | None:
         )
         return "reference"
     return backend
-
-
-def _add_index_flags(parser: argparse.ArgumentParser) -> None:
-    """Radio-map index flags shared by figure/compare/serve."""
-    parser.add_argument(
-        "--index",
-        choices=("exhaustive", "region", "kmeans"),
-        default="exhaustive",
-        help=(
-            "shard the reference radio map so each query scores only "
-            "its probed shards: 'region' = floorplan grid cells, "
-            "'kmeans' = coarse quantizer over RSSI/embedding vectors "
-            "(default: exhaustive, score everything — today's exact "
-            "behaviour; applies to STONE/KNN/LT-KNN, other frameworks "
-            "run unchanged)"
-        ),
-    )
-    parser.add_argument(
-        "--n-shards",
-        type=int,
-        default=16,
-        help="target shard count for --index region/kmeans (default: 16)",
-    )
-    parser.add_argument(
-        "--n-probe",
-        type=int,
-        default=4,
-        help=(
-            "shards scored per query; n-probe >= n-shards is "
-            "bit-identical to exhaustive search (default: 4)"
-        ),
-    )
 
 
 #: Engine flags a figure cannot use: FIG3/FIG4 run no framework
@@ -273,7 +222,6 @@ def _cmd_suite(args: argparse.Namespace) -> int:
 
 def _fleet_spec(args: argparse.Namespace, spec_string: str):
     """Build the public FleetSpec the CLI flags + spec string describe."""
-    from .api import FleetSpec
     from .baselines.registry import framework_capabilities
     from .fleet import parse_fleet_spec
 
@@ -302,41 +250,43 @@ def _fleet_spec(args: argparse.Namespace, spec_string: str):
         fast=args.fast,
         index=index,
         backend=backend,
-        months=args.fleet_months,
-        aps_per_floor=args.fleet_aps_per_floor,
-        model_dir=args.model_dir,
-        # The inspect-only `repro fleet` subcommand has no serving
-        # flags; the spec keeps its defaults there.
-        host=getattr(args, "host", "127.0.0.1"),
-        port=getattr(args, "port", 8000),
-        batch_window_ms=getattr(args, "batch_window_ms", 2.0),
-        max_batch=getattr(args, "max_batch", 256),
-        chunk_size=getattr(args, "chunk_size", None),
-        max_pending_rows=getattr(args, "max_pending_rows", None),
-        workers=getattr(args, "workers", 0),
-        log_json=getattr(args, "log_json", False),
-        slow_ms=getattr(args, "slow_ms", None),
-        drift_threshold_m=getattr(args, "drift_threshold_m", None),
-        live_min_scans=getattr(args, "live_min_scans", 32),
-        live_max_scans=getattr(args, "live_max_scans", 4096),
-        live_max_age_s=getattr(args, "live_max_age_s", None),
+        **_spec_args(FleetSpec, args),
     )
 
 
-def _add_fleet_gen_flags(parser: argparse.ArgumentParser) -> None:
-    """Fleet-suite generation knobs shared by serve --fleet and fleet."""
-    parser.add_argument(
-        "--fleet-months",
-        type=int,
-        default=4,
-        help="longitudinal test months per generated building (default: 4)",
-    )
-    parser.add_argument(
-        "--fleet-aps-per-floor",
-        type=int,
-        default=24,
-        help="APs per generated floor (default: 24)",
-    )
+def _flag_fields(spec_cls, names=None):
+    """``(field, option)`` for each spec field that declares a flag
+    (``flag=True`` derives the option from the field name)."""
+    for f in fields(spec_cls):
+        option = f.metadata.get("flag")
+        if option is None or (names is not None and f.name not in names):
+            continue
+        if option is True:
+            option = "--" + f.name.replace("_", "-")
+        yield f, option
+
+
+def _add_spec_flags(parser: argparse.ArgumentParser, spec_cls, names=None) -> None:
+    """Add the flags a spec's fields declare: help, metavar and choices
+    from the declaration, type and action from the annotation, the
+    default from the field."""
+    for f, option in _flag_fields(spec_cls, names):
+        base = f.type.replace(" | None", "")
+        kwargs = {k: f.metadata[k] for k in ("help", "metavar", "choices") if k in f.metadata}
+        if base == "bool":
+            kwargs["action"] = "store_true"
+        else:
+            kwargs["default"] = f.default
+            if base in ("int", "float"):
+                kwargs["type"] = int if base == "int" else float
+        parser.add_argument(option, **kwargs)
+
+
+def _spec_args(spec_cls, args: argparse.Namespace) -> dict:
+    """The spec fields this subcommand's flags set; absent ones keep
+    the spec's defaults."""
+    dests = {f.name: option[2:].replace("-", "_") for f, option in _flag_fields(spec_cls)}
+    return {name: getattr(args, dest) for name, dest in dests.items() if hasattr(args, dest)}
 
 
 def _cmd_serve_fleet(args: argparse.Namespace) -> int:
@@ -352,7 +302,6 @@ def _cmd_serve_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .api import LocalizerSpec, ServeSpec
     from .baselines.registry import framework_capabilities
 
     if args.fleet:
@@ -378,14 +327,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             index=index,
             backend=backend,
         ),
-        host=args.host,
-        port=args.port,
-        batch_window_ms=args.batch_window_ms,
-        max_batch=args.max_batch,
-        chunk_size=args.chunk_size,
-        model_dir=args.model_dir,
-        log_json=args.log_json,
-        slow_ms=args.slow_ms,
+        **_spec_args(ServeSpec, args),
     )
     server = serve_spec.build(suite)
     loaded = time.perf_counter()
@@ -431,7 +373,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 def _cmd_track(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .api import LocalizerSpec
     from .eval import format_table
     from .radio.time import SimTime
     from .tracking import (
@@ -485,7 +426,6 @@ def _cmd_track(args: argparse.Namespace) -> int:
 def _cmd_compress(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .api import LocalizerSpec
     from .compress import (
         QuantizationSpec,
         deployment_table,
@@ -530,7 +470,6 @@ def _cmd_compress(args: argparse.Namespace) -> int:
 def _cmd_multifloor(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .api import LocalizerSpec
     from .multifloor import (
         HierarchicalLocalizer,
         MultiFloorConfig,
@@ -824,121 +763,12 @@ def build_parser() -> argparse.ArgumentParser:
             "models (the positional suite is ignored)"
         ),
     )
-    p_srv.add_argument(
-        "--max-pending-rows",
-        type=int,
-        default=None,
-        help=(
-            "fleet admission bound: rows in flight before new requests "
-            "get 429 (default: two protocol-maximum batches; fleet "
-            "mode only)"
-        ),
-    )
-    p_srv.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "run fleet slots in this many worker processes, model "
-            "arrays shared over shared memory; answers stay bit-identical "
-            "(default: 0 = in-process; fleet mode only)"
-        ),
-    )
-    _add_fleet_gen_flags(p_srv)
-    p_srv.add_argument("--host", default="127.0.0.1")
-    p_srv.add_argument(
-        "--port", type=int, default=8000, help="0 = ephemeral port"
-    )
-    p_srv.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help=(
-            "upper bound on how long rows wait behind an in-flight "
-            "batch; an idle slot dispatches on the next event-loop tick "
-            "(default: 2.0)"
-        ),
-    )
-    p_srv.add_argument(
-        "--max-batch",
-        type=int,
-        default=256,
-        help="dispatch immediately at this many pending rows (default: 256)",
-    )
-    p_srv.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        help=_CHUNK_SIZE_HELP,
-    )
-    p_srv.add_argument(
-        "--model-dir",
-        default=None,
-        help=(
-            "persist fitted models here so a server restart warm-loads "
-            "instead of refitting (default: fit in-process only)"
-        ),
-    )
     p_srv.add_argument("--seed", type=int, default=0)
     p_srv.add_argument("--fast", action="store_true", help="smoke-scale models")
-    p_srv.add_argument(
-        "--log-json",
-        action="store_true",
-        help=(
-            "emit one structured JSON log line per request to stderr "
-            "(component, request_id, endpoint, status, duration)"
-        ),
-    )
-    p_srv.add_argument(
-        "--slow-ms",
-        type=float,
-        default=None,
-        help=(
-            "with --log-json, only log successful requests slower than "
-            "this many milliseconds; errors always log (default: log all)"
-        ),
-    )
-    p_srv.add_argument(
-        "--drift-threshold-m",
-        type=float,
-        default=None,
-        metavar="M",
-        help=(
-            "live ingest (POST /observe): refit + hot-swap a slot once "
-            "its buffered observations' mean error under the serving "
-            "model exceeds this many meters (default: drift scoring "
-            "off; the buffer-full trigger still applies; fleet mode only)"
-        ),
-    )
-    p_srv.add_argument(
-        "--live-min-scans",
-        type=int,
-        default=32,
-        help=(
-            "never judge drift (or refit) on fewer buffered scans than "
-            "this (default: 32; fleet mode only)"
-        ),
-    )
-    p_srv.add_argument(
-        "--live-max-scans",
-        type=int,
-        default=4096,
-        help=(
-            "refit unconditionally once this many scans are buffered "
-            "(default: 4096; fleet mode only)"
-        ),
-    )
-    p_srv.add_argument(
-        "--live-max-age-s",
-        type=float,
-        default=None,
-        metavar="S",
-        help=(
-            "refit once the oldest buffered scan is this old "
-            "(default: no age trigger; fleet mode only)"
-        ),
-    )
-    _add_index_flags(p_srv)
+    # Serving, fleet-generation and live-policy knobs: one flag per
+    # FleetSpec field (a superset of ServeSpec's), declared there.
+    _add_spec_flags(p_srv, FleetSpec)
+    _add_spec_flags(p_srv, IndexSpec)
     _add_backend_flag(p_srv)
     p_srv.set_defaults(fn=_cmd_serve)
 
@@ -972,8 +802,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="persist/warm-load slot models here (shared fleet store)",
     )
-    _add_fleet_gen_flags(p_fleet)
-    _add_index_flags(p_fleet)
+    _add_spec_flags(p_fleet, FleetSpec, ("months", "aps_per_floor"))
+    _add_spec_flags(p_fleet, IndexSpec)
     _add_backend_flag(p_fleet)
     p_fleet.set_defaults(fn=_cmd_fleet)
 
@@ -1032,8 +862,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--fast", action="store_true",
         help="with --fleet: the fleet was built at smoke scale",
     )
-    _add_fleet_gen_flags(p_store)
-    _add_index_flags(p_store)
+    _add_spec_flags(p_store, FleetSpec, ("months", "aps_per_floor"))
+    _add_spec_flags(p_store, IndexSpec)
     _add_backend_flag(p_store)
     p_store.set_defaults(fn=_cmd_store)
 

@@ -148,8 +148,8 @@ def task_fingerprint(
 
     ``backend`` is the kernel backend (:mod:`repro.kernels`) the hot
     distance path runs on. It feeds the digest *only when it can change
-    results*: bit-identical backends (``reference``, ``blas64``) hash
-    exactly like the pre-seam scheme, so every artifact computed before
+    results*: the bit-identical ``reference`` backend hashes exactly
+    like the pre-seam scheme, so every artifact computed before
     the seam existed stays addressable.
 
     ``schema_tag`` names the artifact layout the key addresses; the
@@ -199,14 +199,14 @@ class EvalTask:
         # Local import: repro.api.session pulls in the serving layer,
         # which imports this module — resolving the spec lazily keeps
         # the import graph acyclic in both directions.
-        from ..api.config import IndexSpec, LocalizerSpec
+        from ..api.config import LocalizerSpec
 
         return LocalizerSpec(
             framework=self.framework,
             suite_name=self.suite_name,
             fast=self.fast,
             seed=self.seed,
-            index=IndexSpec.from_config(self.index),
+            index=self.index,
         )
 
     def cache_key(self, suite_hash: str) -> str:

@@ -3,7 +3,9 @@
 Public surface:
 
 * :class:`IndexConfig` — the configuration object every layer passes
-  around (CLI flags → registry → fitted heads → cache keys).
+  around (CLI flags → registry → fitted heads → cache keys); the public
+  :class:`repro.api.IndexSpec` is this same class.
+  :func:`engine_index` normalizes an exhaustive config to ``None``.
 * :func:`build_index` — construct the concrete index a config
   describes over a reference set.
 * :class:`CandidateIndex` / :class:`ExhaustiveIndex` /
@@ -13,7 +15,7 @@ Public surface:
 """
 
 from ..kernels.reference import squared_distances
-from .config import EXHAUSTIVE, INDEX_KINDS, IndexConfig, index_tag
+from .config import EXHAUSTIVE, INDEX_KINDS, IndexConfig, engine_index, index_tag
 from .partitioners import kmeans_partition, region_partition
 from .sharded import (
     CandidateIndex,
@@ -26,6 +28,7 @@ __all__ = [
     "EXHAUSTIVE",
     "INDEX_KINDS",
     "IndexConfig",
+    "engine_index",
     "index_tag",
     "CandidateIndex",
     "ExhaustiveIndex",

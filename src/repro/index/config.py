@@ -14,13 +14,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..spec_fields import POSITIVE, Spec, spec_field
+
 #: Index kinds the partitioner layer implements.
 INDEX_KINDS = ("exhaustive", "region", "kmeans")
 
 
+def _canonical_backend(name: str | None) -> str | None:
+    # Canonicalize (and validate) eagerly so equal behaviour always
+    # means equal config objects and equal tags. Local import:
+    # repro.kernels reaches back into this package for the shared
+    # distance kernel.
+    from ..kernels import canonical_backend_name
+
+    return None if name is None else canonical_backend_name(name)
+
+
 @dataclass(frozen=True)
-class IndexConfig:
+class IndexConfig(Spec):
     """How the reference fingerprint set is partitioned and probed.
+
+    This one class is also the public spec :class:`repro.api.IndexSpec`
+    (the same object under both names): its dict round-trip comes from
+    :class:`~repro.spec_fields.Spec` and its :meth:`fingerprint` is
+    :meth:`tag`. ``kind="exhaustive"`` means *no sharding* and is
+    equivalent to passing no index at all (see :func:`engine_index`).
 
     Attributes
     ----------
@@ -46,31 +64,40 @@ class IndexConfig:
         can change results (a bit-identical backend probes identically).
     """
 
-    kind: str = "exhaustive"
-    n_shards: int = 16
-    n_probe: int = 4
+    kind: str = spec_field(
+        "exhaustive",
+        check=(
+            lambda v: v in INDEX_KINDS,
+            f"index kind must be one of {INDEX_KINDS}, got {{value!r}}",
+        ),
+        flag="--index",
+        choices=INDEX_KINDS,
+        help=(
+            "shard the reference radio map so each query scores only "
+            "its probed shards: 'region' = floorplan grid cells, "
+            "'kmeans' = coarse quantizer over RSSI/embedding vectors "
+            "(default: exhaustive, score everything — today's exact "
+            "behaviour; applies to STONE/KNN/LT-KNN, other frameworks "
+            "run unchanged)"
+        ),
+    )
+    n_shards: int = spec_field(
+        16,
+        check=POSITIVE,
+        flag=True,
+        help="target shard count for --index region/kmeans (default: 16)",
+    )
+    n_probe: int = spec_field(
+        4,
+        check=POSITIVE,
+        flag=True,
+        help=(
+            "shards scored per query; n-probe >= n-shards is "
+            "bit-identical to exhaustive search (default: 4)"
+        ),
+    )
     seed: int = 0
-    backend: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in INDEX_KINDS:
-            raise ValueError(
-                f"index kind must be one of {INDEX_KINDS}, got {self.kind!r}"
-            )
-        if self.n_shards <= 0:
-            raise ValueError("n_shards must be positive")
-        if self.n_probe <= 0:
-            raise ValueError("n_probe must be positive")
-        if self.backend is not None:
-            # Canonicalize (and validate) eagerly so equal behaviour
-            # always means equal config objects and equal tags.
-            # Local import: repro.kernels reaches back into this
-            # package for the shared distance kernel.
-            from ..kernels import canonical_backend_name
-
-            object.__setattr__(
-                self, "backend", canonical_backend_name(self.backend)
-            )
+    backend: str | None = spec_field(None, convert=_canonical_backend)
 
     @property
     def is_exhaustive(self) -> bool:
@@ -103,6 +130,9 @@ class IndexConfig:
                 tag += f":k{self.backend}"
         return tag
 
+    #: An index's identity is the cache-key tag every layer hashes.
+    fingerprint = tag
+
 
 #: The do-nothing default: score the full reference matrix.
 EXHAUSTIVE = IndexConfig()
@@ -111,3 +141,15 @@ EXHAUSTIVE = IndexConfig()
 def index_tag(config: IndexConfig | None) -> str:
     """Cache-key tag for an optional config (``None`` = exhaustive)."""
     return (config or EXHAUSTIVE).tag()
+
+
+def engine_index(config: IndexConfig | None) -> IndexConfig | None:
+    """Normalize to the engine's convention (``None`` = exhaustive).
+
+    The cache/store layers treat "no index" and "exhaustive index" as
+    one artifact; this is the single conversion point that keeps every
+    caller on that convention.
+    """
+    if config is None or config.is_exhaustive:
+        return None
+    return config

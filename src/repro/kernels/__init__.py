@@ -21,7 +21,6 @@ Registered backends:
 name       contract   representation
 ========== ========== ==================================================
 reference  bit-exact  float64 rows + cached norms (today's shipped path)
-blas64     bit-exact  same float64 arithmetic, pinned through the seam
 blas       bounded    transposed contiguous float32 + in-place sgemm
 quantized  bounded    int8 codes (8x packing) + code-space float32 gemm
 ========== ========== ==================================================
@@ -42,7 +41,7 @@ from .base import (
 )
 from .blas import BlasBackend
 from .quantized import QuantizedBackend
-from .reference import Blas64Backend, ReferenceBackend
+from .reference import ReferenceBackend
 from .shared import (
     AttachedRegion,
     SharedArtifactRegion,
@@ -50,7 +49,6 @@ from .shared import (
 )
 
 register_backend(ReferenceBackend())
-register_backend(Blas64Backend(), aliases=("blas-float64", "blas-f64"))
 register_backend(BlasBackend(), aliases=("blas32", "blas-float32", "blas-f32"))
 register_backend(QuantizedBackend(), aliases=("int8", "quantized-int8"))
 
@@ -58,7 +56,6 @@ __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "AttachedRegion",
-    "Blas64Backend",
     "BlasBackend",
     "KernelBackend",
     "PackedReferences",

@@ -10,8 +10,8 @@ it can change without touching any search or serving logic.
 
 The contract has two tiers, mirroring the house bit-identity invariant:
 
-* ``changes_results = False`` backends (``reference``, ``blas64``) must
-  be **byte-for-byte identical** to the shipped float64 path — they are
+* ``changes_results = False`` backends (``reference``) must be
+  **byte-for-byte identical** to the shipped float64 path — they are
   interchangeable everywhere and share cache/store fingerprints with it.
 * ``changes_results = True`` backends (``blas`` float32, ``quantized``
   int8) are **bounded-error** and accuracy-gated on the eval suites;

@@ -1,4 +1,4 @@
-"""The exact float64 backends: ``reference`` and ``blas64``.
+"""The exact float64 backend: ``reference``.
 
 ``reference`` is *today's* shipped arithmetic, verbatim: float64 rows,
 precomputed reference norms, and the one shared
@@ -13,13 +13,6 @@ exactly one place makes that provable: ``KNNHead``'s exhaustive and
 sharded paths, the shard centroid probing and the k-means partitioner
 all call it, so a numeric tweak (dtype, clamp, BLAS ordering) can never
 drift one copy away from the others.
-
-``blas64`` is the matmul-decomposed kernel at full precision. It runs
-the identical float64 ops in the identical order on the identical
-layouts, so it is bit-for-bit the reference path (hypothesis-pinned by
-``tests/kernels/test_backends.py``); it exists so the seam itself — the
-packing, the subset gathers, the dispatch — is pinned against drift
-independently of any precision change.
 """
 
 from __future__ import annotations
@@ -87,16 +80,3 @@ class ReferenceBackend(KernelBackend):
             queries, packed.arrays["refs"], packed.arrays["refs_sq"]
         )
 
-
-class Blas64Backend(ReferenceBackend):
-    """Full-precision matmul decomposition — bit-identical by contract.
-
-    Same float64 arrays, same op order, same clamp as ``reference``
-    (both bottom out in :func:`squared_distances`,
-    whose ``q @ refs.T`` is already a BLAS dgemm); registering it
-    separately keeps the identity claim *testable* — the hypothesis
-    property compares two genuinely distinct registry entries.
-    """
-
-    name = "blas64"
-    changes_results = False

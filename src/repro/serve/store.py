@@ -42,7 +42,7 @@ from ..baselines.base import Localizer
 from ..baselines.registry import canonical_name, framework_class
 from ..datasets.fingerprint import LongitudinalSuite
 from ..eval.engine import task_fingerprint, train_fingerprint
-from ..index import IndexConfig, index_tag
+from ..index import IndexConfig, engine_index, index_tag
 
 #: Bumped when the on-disk fitted-model payload layout changes.
 #: v2: keys and payloads carry the radio-map index configuration, so a
@@ -60,8 +60,8 @@ class ModelKey:
     ``index`` is the radio-map index configuration the model was fitted
     with (``None`` = exhaustive); its canonical tag feeds the digest.
     ``backend`` is the kernel backend the radio map is packed for; it
-    feeds the digest only when it can change results, so reference (and
-    blas64) fits keep their pre-seam digests — and their artifacts.
+    feeds the digest only when it can change results, so reference fits
+    keep their pre-seam digests — and their artifacts.
     """
 
     framework: str
@@ -180,7 +180,7 @@ class ModelStore:
             train_hash=train_fingerprint(suite),
             seed=seed,
             fast=fast,
-            index=index if index is not None and not index.is_exhaustive else None,
+            index=engine_index(index),
             backend=resolve_backend_name(backend),
         )
 
@@ -229,14 +229,14 @@ class ModelStore:
         # Local import: repro.api imports this module (session facade);
         # constructing through the public spec here closes that loop,
         # so the spec is resolved lazily.
-        from ..api.config import IndexSpec, LocalizerSpec
+        from ..api.config import LocalizerSpec
 
         spec = LocalizerSpec(
             framework=key.framework,
             suite_name=suite.name,
             fast=key.fast,
             seed=key.seed,
-            index=IndexSpec.from_config(key.index),
+            index=key.index,
             backend=key.backend,
         )
         localizer = spec.build()

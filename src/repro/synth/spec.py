@@ -7,52 +7,34 @@ the RP survey grid, AP density, the path-loss regime (keyed into
 device-noise magnitudes, and the per-month AP-dropout schedule that
 makes the longitudinal epochs drift the way the paper's corpora do.
 
-The spec follows the :mod:`repro.api` conventions exactly: frozen
-dataclass, validation at construction, ``to_dict``/``from_dict`` with
-unknown-key rejection, and a canonical SHA-256 :meth:`fingerprint`
-(``{"spec": "scenario", ...}`` payload). Everything downstream —
-:func:`repro.synth.generate_suite`, :func:`repro.synth.generate_fleet`,
-the stress bench — derives its randomness from
-``(spec.fingerprint(), seed)``, so a spec *is* a reproducible dataset
-identity, not just a parameter bag.
+The spec follows the :mod:`repro.api` conventions exactly: a frozen
+:class:`~repro.spec_fields.Spec` whose fields declare their own
+checks, with the shared validation at construction,
+``to_dict``/``from_dict`` with unknown-key rejection, and canonical
+SHA-256 :meth:`fingerprint` (``{"spec": "scenario", ...}`` payload).
+Everything downstream — :func:`repro.synth.generate_suite`,
+:func:`repro.synth.generate_fleet`, the stress bench — derives its
+randomness from ``(spec.fingerprint(), seed)``, so a spec *is* a
+reproducible dataset identity, not just a parameter bag.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from ..geometry.builders import build_grid_floorplan
 from ..geometry.floorplan import Floorplan
 from ..radio.access_point import DEFAULT_DETECTION_THRESHOLD_DBM, NO_SIGNAL_DBM
 from ..radio.propagation import ENVIRONMENT_PRESETS
+from ..spec_fields import AT_LEAST_1, POSITIVE, Spec, spec_field
 
-
-def _canonical_digest(payload: dict) -> str:
-    """SHA-256 over the canonical JSON rendering of a spec dict.
-
-    Same canonicalization as :mod:`repro.api.config` (sorted keys,
-    compact separators); duplicated here so :mod:`repro.synth` never
-    imports :mod:`repro.api` (which re-exports this module's spec).
-    """
-    return hashlib.sha256(
-        json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
-    ).hexdigest()
-
-
-def _check_known_keys(cls: type, data: dict) -> None:
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(
-            f"{cls.__name__}.from_dict: unknown keys {unknown}; "
-            f"known keys: {sorted(known)}"
-        )
+_NON_NEGATIVE = (lambda v: v >= 0, "{name} must be non-negative")
+_FLOOR_SIDE = (lambda v: v >= 4.0, "floor dimensions must be >= 4 m")
+_FPR = (lambda v: v >= 1, "train_fpr and test_fpr must be >= 1")
 
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(Spec):
     """One synthetic city: geometry x radio regime x drift schedule.
 
     Parameters
@@ -98,66 +80,50 @@ class ScenarioSpec:
         the schedule is exact, not probabilistic).
     """
 
-    name: str = "city"
-    n_buildings: int = 4
-    floors_per_building: int = 2
-    floor_width_m: float = 24.0
-    floor_height_m: float = 16.0
-    rp_spacing_m: float = 4.0
-    floor_gap_m: float = 3.5
-    ap_density_per_100m2: float = 1.5
-    environment: str = "office"
-    tx_power_dbm: float = 18.0
-    shadowing_sigma_db: float = 3.0
-    noise_std_db: float = 2.0
-    detection_threshold_dbm: float = DEFAULT_DETECTION_THRESHOLD_DBM
-    slab_db: float = 18.0
-    n_months: int = 3
-    train_fpr: int = 4
-    test_fpr: int = 2
-    dropout_start_month: int = 1
-    dropout_rate: float = 0.0
+    SPEC_NAME = "scenario"
 
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ValueError("name must be a non-empty string")
-        if self.n_buildings < 1:
-            raise ValueError("n_buildings must be >= 1")
-        if self.floors_per_building < 1:
-            raise ValueError("floors_per_building must be >= 1")
-        if min(self.floor_width_m, self.floor_height_m) < 4.0:
-            raise ValueError("floor dimensions must be >= 4 m")
-        if self.rp_spacing_m <= 0:
-            raise ValueError("rp_spacing_m must be positive")
-        if self.floor_gap_m <= 0:
-            raise ValueError("floor_gap_m must be positive")
-        if self.ap_density_per_100m2 <= 0:
-            raise ValueError("ap_density_per_100m2 must be positive")
-        if self.environment not in ENVIRONMENT_PRESETS:
-            raise ValueError(
-                f"unknown environment {self.environment!r}; "
-                f"choose from {sorted(ENVIRONMENT_PRESETS)}"
-            )
-        if not 0.0 <= self.tx_power_dbm <= 40.0:
-            raise ValueError("tx_power_dbm must be in [0, 40]")
-        if self.shadowing_sigma_db < 0:
-            raise ValueError("shadowing_sigma_db must be non-negative")
-        if self.noise_std_db < 0:
-            raise ValueError("noise_std_db must be non-negative")
-        if not NO_SIGNAL_DBM < self.detection_threshold_dbm <= 0.0:
-            raise ValueError(
-                f"detection_threshold_dbm must be in ({NO_SIGNAL_DBM}, 0]"
-            )
-        if self.slab_db <= 0:
-            raise ValueError("slab_db must be positive")
-        if self.n_months < 1:
-            raise ValueError("n_months must be >= 1")
-        if self.train_fpr < 1 or self.test_fpr < 1:
-            raise ValueError("train_fpr and test_fpr must be >= 1")
-        if self.dropout_start_month < 1:
-            raise ValueError("dropout_start_month must be >= 1")
-        if not 0.0 <= self.dropout_rate <= 1.0:
-            raise ValueError("dropout_rate must be in [0, 1]")
+    name: str = spec_field(
+        "city",
+        check=(
+            lambda v: isinstance(v, str) and bool(v),
+            "name must be a non-empty string",
+        ),
+    )
+    n_buildings: int = spec_field(4, check=AT_LEAST_1)
+    floors_per_building: int = spec_field(2, check=AT_LEAST_1)
+    floor_width_m: float = spec_field(24.0, check=_FLOOR_SIDE)
+    floor_height_m: float = spec_field(16.0, check=_FLOOR_SIDE)
+    rp_spacing_m: float = spec_field(4.0, check=POSITIVE)
+    floor_gap_m: float = spec_field(3.5, check=POSITIVE)
+    ap_density_per_100m2: float = spec_field(1.5, check=POSITIVE)
+    environment: str = spec_field(
+        "office",
+        check=(
+            lambda v: v in ENVIRONMENT_PRESETS,
+            "unknown environment {value!r}; choose from "
+            + str(sorted(ENVIRONMENT_PRESETS)),
+        ),
+    )
+    tx_power_dbm: float = spec_field(
+        18.0, check=(lambda v: 0.0 <= v <= 40.0, "{name} must be in [0, 40]")
+    )
+    shadowing_sigma_db: float = spec_field(3.0, check=_NON_NEGATIVE)
+    noise_std_db: float = spec_field(2.0, check=_NON_NEGATIVE)
+    detection_threshold_dbm: float = spec_field(
+        DEFAULT_DETECTION_THRESHOLD_DBM,
+        check=(
+            lambda v: NO_SIGNAL_DBM < v <= 0.0,
+            f"{{name}} must be in ({NO_SIGNAL_DBM}, 0]",
+        ),
+    )
+    slab_db: float = spec_field(18.0, check=POSITIVE)
+    n_months: int = spec_field(3, check=AT_LEAST_1)
+    train_fpr: int = spec_field(4, check=_FPR)
+    test_fpr: int = spec_field(2, check=_FPR)
+    dropout_start_month: int = spec_field(1, check=AT_LEAST_1)
+    dropout_rate: float = spec_field(
+        0.0, check=(lambda v: 0.0 <= v <= 1.0, "{name} must be in [0, 1]")
+    )
 
     # -- derived geometry --------------------------------------------------
 
@@ -226,29 +192,11 @@ class ScenarioSpec:
             counts.append(min(n_aps - 1, max(counts[-1], scheduled)))
         return counts
 
-    # -- identity / serialization ------------------------------------------
-
-    def fingerprint(self) -> str:
-        """Canonical digest of the whole scenario configuration.
-
-        Every generated artifact (suites, fleets, bench workloads)
-        seeds from ``(fingerprint, seed)``, so two equal specs always
-        regenerate bit-identical data and two differing specs never
-        collide.
-        """
-        return _canonical_digest({"spec": "scenario", **self.to_dict()})
+    # -- copies / display --------------------------------------------------
 
     def scaled(self, **overrides) -> ScenarioSpec:
         """A copy with fields replaced (``dataclasses.replace`` sugar)."""
         return replace(self, **overrides)
-
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> ScenarioSpec:
-        _check_known_keys(cls, data)
-        return cls(**data)
 
     def describe(self) -> str:
         """Multi-line console summary (``repro synth``)."""

@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import IndexSpec, LocalizerSpec
+from repro.api import LocalizerSpec
 from repro.baselines.registry import build_localizer
 
 
@@ -46,9 +46,7 @@ class TestMakeLocalizerShim:
 
         config = IndexConfig(kind="region", n_shards=4, n_probe=2)
         kernel = build_localizer("KNN", index=config)
-        modern = LocalizerSpec(
-            framework="KNN", index=IndexSpec.from_config(config)
-        ).build()
+        modern = LocalizerSpec(framework="KNN", index=config).build()
         kernel.fit(tiny_suite.train, tiny_suite.floorplan,
                    rng=np.random.default_rng([0, 0]))
         modern.fit(tiny_suite.train, tiny_suite.floorplan,

@@ -2,7 +2,7 @@
 
 The load-bearing property is *subsumption*: the new spec surface must
 address exactly the artifacts the legacy plumbing addressed —
-``IndexSpec.fingerprint() == IndexConfig.tag()``,
+``IndexSpec.fingerprint() == IndexConfig.tag()`` (one class, two names),
 ``LocalizerSpec.model_key(suite) == ModelStore.key_for(...)`` and
 ``LocalizerSpec.task_key(...) == EvalTask.cache_key(...)`` — so caches
 and model stores written before `repro.api` existed keep hitting.
@@ -45,12 +45,10 @@ class TestIndexSpec:
     @given(spec=index_specs)
     @settings(max_examples=60, deadline=None)
     def test_fingerprint_is_the_legacy_tag(self, spec):
-        assert spec.fingerprint() == spec.to_config().tag()
+        assert spec.fingerprint() == spec.tag()
 
-    def test_from_config_round_trip(self):
-        config = IndexConfig(kind="kmeans", n_shards=8, n_probe=2, seed=3)
-        assert IndexSpec.from_config(config).to_config() == config
-        assert IndexSpec.from_config(None) is None
+    def test_index_spec_is_index_config(self):
+        assert IndexSpec is IndexConfig
 
     def test_validation_delegates_to_index_config(self):
         with pytest.raises(ValueError):
@@ -62,7 +60,7 @@ class TestIndexSpec:
         assert engine_index(None) is None
         assert engine_index(IndexSpec()) is None
         sharded = IndexSpec(kind="region", n_shards=4)
-        assert engine_index(sharded) == sharded.to_config()
+        assert engine_index(sharded) is sharded
 
 
 class TestLocalizerSpec:
@@ -234,6 +232,33 @@ class TestFleetSpec:
 
     def test_alias_framework_canonicalizes(self):
         assert FleetSpec.from_string("HQ:2", framework="ltknn").framework == "LT-KNN"
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"max_batch": 0},
+            {"batch_window_ms": -1},
+            {"chunk_size": 0},
+            {"max_pending_rows": 0},
+        ],
+        ids=lambda knob: next(iter(knob)),
+    )
+    def test_unrunnable_serving_knob_rejected_at_construction(self, knob):
+        # The dispatcher would reject these only after every building
+        # was generated, fitted and handed to its workers.
+        with pytest.raises(ValueError, match=next(iter(knob))):
+            FleetSpec.from_string("HQ:2", **knob)
+
+    def test_cli_rejects_bad_knob_before_building_the_fleet(self, monkeypatch):
+        from repro.cli import main
+
+        def never(*args, **kwargs):
+            raise AssertionError("the fleet was built before validation")
+
+        monkeypatch.setattr(FleetSpec, "build_registry", never)
+        argv = ["serve", "--fleet", "HQ:2", "--framework", "KNN", "--fast"]
+        with pytest.raises(ValueError, match="max_batch"):
+            main([*argv, "--workers", "2", "--max-batch", "0"])
 
     def test_empty_buildings_rejected(self):
         with pytest.raises(ValueError, match="at least one building"):

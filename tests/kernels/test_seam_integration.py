@@ -27,12 +27,6 @@ from repro.serve import ModelStore
 class TestFingerprintRule:
     """Bit-identical backends share identities; bounded ones never do."""
 
-    def test_blas64_shares_default_fingerprint(self):
-        base = LocalizerSpec(framework="KNN", fast=True)
-        pinned = LocalizerSpec(framework="KNN", fast=True, backend="blas64")
-        assert pinned.backend == "blas64"
-        assert pinned.fingerprint() == base.fingerprint()
-
     @pytest.mark.parametrize("backend", ["blas", "quantized"])
     def test_result_changing_backend_changes_fingerprint(self, backend):
         base = LocalizerSpec(framework="KNN", fast=True)
@@ -68,7 +62,7 @@ class TestFingerprintRule:
     def test_store_digest_unchanged_for_exact_backends(self, tiny_suite):
         store = ModelStore()
         legacy = store.key_for("KNN", tiny_suite, fast=True)
-        pinned = store.key_for("KNN", tiny_suite, fast=True, backend="blas64")
+        pinned = store.key_for("KNN", tiny_suite, fast=True, backend="reference")
         quant = store.key_for("KNN", tiny_suite, fast=True, backend="quantized")
         assert pinned.digest == legacy.digest
         assert quant.digest != legacy.digest
@@ -85,7 +79,7 @@ class TestFrameworkGating:
             build_localizer("GIFT", fast=True, backend="quantized")
 
     def test_exact_backend_on_gift_is_dropped(self):
-        localizer = build_localizer("GIFT", fast=True, backend="blas64")
+        localizer = build_localizer("GIFT", fast=True, backend="reference")
         assert localizer.kernel_backend == "reference"
 
     def test_spec_env_backend_normalizes_on_non_seam(self, monkeypatch):
@@ -111,18 +105,6 @@ class TestLocalizerBackends:
         lt = LTKNNLocalizer(backend="blas")
         assert lt.kernel_backend == "blas"
         assert KNNLocalizer().kernel_backend == "reference"
-
-    def test_knn_blas64_predictions_bit_identical(self, tiny_suite):
-        rng_a = np.random.default_rng(0)
-        rng_b = np.random.default_rng(0)
-        a = KNNLocalizer().fit(
-            tiny_suite.train, tiny_suite.floorplan, rng=rng_a
-        )
-        b = KNNLocalizer(backend="blas64").fit(
-            tiny_suite.train, tiny_suite.floorplan, rng=rng_b
-        )
-        queries = tiny_suite.test_epochs[0].rssi
-        np.testing.assert_array_equal(a.predict(queries), b.predict(queries))
 
     @pytest.mark.parametrize("backend", ["blas", "quantized"])
     def test_accuracy_gate_on_eval_suite(self, tiny_suite, backend):
@@ -169,14 +151,13 @@ class TestStorePayloads:
         assert models[0]["backend"] == "blas"
 
     def test_exact_backends_share_persisted_artifact(self, tiny_suite, tmp_path):
-        # A reference fit persisted pre-seam (no backend record in the
-        # key digest) must warm-load for a blas64 request and vice
-        # versa — they are interchangeable by contract.
+        # A fit persisted with the backend left unset must warm-load
+        # for an explicit reference request — they are one artifact.
         store_a = ModelStore(tmp_path)
         store_a.get_or_fit("KNN", tiny_suite, fast=True)
         store_b = ModelStore(tmp_path)
         entry = store_b.get_or_fit(
-            "KNN", tiny_suite, fast=True, backend="blas64"
+            "KNN", tiny_suite, fast=True, backend="reference"
         )
         assert entry.source == "disk"
         assert store_b.fits == 0
