@@ -100,6 +100,17 @@ class Localizer(ABC):
         """
         return "reference"
 
+    @property
+    def macs_per_row(self) -> int | None:
+        """Multiply-adds one query row of ``predict`` costs.
+
+        The serving layer runs a batch inline on its event loop while
+        rows x this stays small, and on an inference thread above that
+        (:func:`repro.serve.dispatcher.run_inline_or_offload`).
+        ``None`` (the default) means unknown: always offload.
+        """
+        return None
+
     # -- helpers -----------------------------------------------------------
 
     def _check_fitted(self) -> None:

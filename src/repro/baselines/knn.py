@@ -7,7 +7,6 @@ incognizant of temporal-variation" — raw RSSI vectors, no adaptation.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from ..core.knn_head import KNNHead
@@ -96,6 +95,13 @@ class KNNLocalizer(BatchedLocalizer):
         from ..kernels import resolve_backend_name
 
         return resolve_backend_name(self.backend)
+
+    @property
+    def macs_per_row(self) -> int | None:
+        """One distance pass: stored fingerprints x APs."""
+        if self._train_rssi is None:
+            return None
+        return int(self._train_rssi.size)
 
     def index_describe(self) -> dict | None:
         """Shard statistics of the fitted radio-map index."""

@@ -2,14 +2,16 @@
 
 One asyncio event loop fronts the whole fleet: every request is
 **admitted** (bounded queue, atomic check+reserve), **routed**
-(hierarchical building/floor classification: inline for small batches,
-on the executor for large ones) and then its row groups are
+(hierarchical building/floor classification, inline or on the executor
+by the dispatcher's one offload rule) and then its row groups are
 **coalesced** per slot by one
 :class:`~repro.serve.dispatcher.BatchingDispatcher` each. The two
 execution modes differ only in the dispatchers' compute callable:
 
 * ``workers=0`` (the default) — each dispatcher runs its slot's model
-  on its own inference thread inside this process.
+  inside this process by the offload rule: a small flush inline on the
+  loop, a large one (or one of a model with no declared cost) on the
+  dispatcher's own inference thread.
 * ``workers>=1`` — each flush is one pipe round trip
   (:meth:`~repro.fleet.worker.WorkerPool.predict`) to the worker
   process owning the slot by consistent hash; every model array is
@@ -35,7 +37,7 @@ import numpy as np
 
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot
 from ..obs.trace import Trace
-from ..serve.dispatcher import BatchingDispatcher
+from ..serve.dispatcher import BatchingDispatcher, run_inline_or_offload
 from ..serve.protocol import MAX_BATCH_ROWS
 from .registry import FleetRegistry, FleetSlot
 from .router import RoutingDecision, ScanRouter
@@ -45,15 +47,6 @@ from .worker import WorkerPool
 #: the HTTP layer accepts (``MAX_BATCH_ROWS``) is admissible on an idle
 #: fleet and one giant request cannot monopolize the whole queue.
 DEFAULT_MAX_PENDING_ROWS = 2 * MAX_BATCH_ROWS
-
-#: Largest classification (rows x floor-classifier reference rows) run
-#: inline on the event loop; bigger ones go to the default executor.
-#: On a 2-vCPU host with 396 references per building, a median inline
-#: route took 0.35 ms at 4 rows, 0.6 ms at 32 and 0.8 ms at 64, and
-#: with multithreaded OpenBLAS its p99 reached 3.7-5.8 ms from 16 rows
-#: up. The bound (41 rows there) keeps a routine inline stall of the
-#: loop under ~0.7 ms; larger batches pay one executor hop instead.
-ROUTE_INLINE_MAX_WORK = 16_384
 
 
 class FleetOverloadError(RuntimeError):
@@ -306,9 +299,12 @@ class FleetDispatcher:
         outright; ``building`` (optionally with ``floor``) pins the
         building and classifies only what's left; ``None`` classifies
         hierarchically. Classification always runs *after* admission
-        (a rejected request never pays for it): inline on the event loop
-        while rows x floor-classifier references stay within
-        :data:`ROUTE_INLINE_MAX_WORK`, on the default executor above it.
+        (a rejected request never pays for it), by the one offload rule
+        (:func:`~repro.serve.dispatcher.run_inline_or_offload`): inline
+        on the event loop while rows x the floor classifier's
+        multiply-adds per row stay within
+        :data:`~repro.serve.dispatcher.INLINE_MAX_MACS`, on the default
+        executor above it.
         Raises :class:`FleetOverloadError` when the admission bound
         would be exceeded — before any row is enqueued — and
         ``KeyError`` for a pin naming an unknown building/floor.
@@ -351,22 +347,19 @@ class FleetDispatcher:
             elif building is not None and floor is not None:
                 decision = self.router.decide_slot(building, floor, n)
             else:
-                # Classification is dense numpy work (O(rows x refs)
-                # distance blocks). A small batch classifies faster than
-                # an executor hop returns, so it runs inline; a large one
-                # runs off the loop so other requests keep being admitted
-                # and the slot micro-batch windows keep filling meanwhile.
+                # Classification is dense numpy work, offloaded by the
+                # dispatchers' rule: a small batch classifies inline,
+                # faster than an executor hop returns; a large one runs
+                # off the loop so other requests keep being admitted and
+                # the slot micro-batch windows keep filling meanwhile.
                 route = (
                     self.router.route
                     if building is None
                     else partial(self.router.route_building, building=building)
                 )
-                if n * self.router.floor_refs(building) <= ROUTE_INLINE_MAX_WORK:
-                    decision = route(scans)
-                else:
-                    decision = await asyncio.get_running_loop().run_in_executor(
-                        None, route, scans
-                    )
+                decision = await run_inline_or_offload(
+                    route, scans, self.router.macs_per_row(building)
+                )
             routing_elapsed = time.perf_counter() - t_route
             if self._m_routing_seconds is not None:
                 self._m_routing_seconds.observe(routing_elapsed)

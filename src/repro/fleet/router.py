@@ -21,9 +21,10 @@ resolved slot, each group rides one ``predict_batched`` call on the
 building-block columns, and results scatter back to arrival order —
 bit-identical to querying each target slot's localizer directly
 (``tests/fleet/test_router.py`` asserts the property). Stages 1–2 cost
-O(rows × floor-classifier reference rows) (:meth:`ScanRouter.floor_refs`);
-the serving front-end runs them inline on its event loop below a fixed
-bound on that product and on an executor above it.
+about rows × the floor classifier's multiply-adds per row
+(:meth:`ScanRouter.macs_per_row`); the serving front-end runs them by
+the dispatcher's one offload rule
+(:func:`~repro.serve.dispatcher.run_inline_or_offload`).
 """
 
 from __future__ import annotations
@@ -90,15 +91,15 @@ class ScanRouter:
 
     # -- classification ----------------------------------------------------
 
-    def floor_refs(self, building: str | None = None) -> int:
-        """Floor-classifier reference rows one scan is compared against.
+    def macs_per_row(self, building: str | None = None) -> int:
+        """Multiply-adds routing one scan costs: its floor classification.
 
-        The pinned building's count, or the largest building's when the
+        The pinned building's classifier, or the costliest one when the
         building is still to be classified.
         """
         if building is not None:
-            return self.registry.building(building).floor_classifier.n_refs
-        return max(d.floor_classifier.n_refs for d in self.registry.buildings)
+            return self.registry.building(building).floor_classifier.macs_per_row
+        return max(d.floor_classifier.macs_per_row for d in self.registry.buildings)
 
     def classify_buildings(self, scans: np.ndarray) -> np.ndarray:
         """Audibility-signature building detection per row.

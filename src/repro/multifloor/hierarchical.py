@@ -51,11 +51,11 @@ class FloorClassifier:
         return self
 
     @property
-    def n_refs(self) -> int:
-        """Reference fingerprints each query is compared against."""
+    def macs_per_row(self) -> int:
+        """One distance pass: reference fingerprints x APs."""
         if self._vectors is None:
             raise RuntimeError("FloorClassifier used before fit()")
-        return int(self._vectors.shape[0])
+        return int(self._vectors.size)
 
     def predict(self, rssi: np.ndarray) -> np.ndarray:
         """Majority floor among the K nearest reference fingerprints.

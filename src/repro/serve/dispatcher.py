@@ -29,12 +29,19 @@ the two:
 
 Every flush, and every sequential request, goes through one **compute
 callable**: ``compute(rows)`` returns an awaitable of the ``(n, 2)``
-coordinates. The default runs the localizer on a single inference
-thread (``run_in_executor``), so the event loop keeps accepting and
-coalescing new arrivals while a batch computes — that overlap is where
-micro-batching throughput comes from. The single thread also
-serializes sequential-framework requests without extra locking. A
-fleet served by worker processes passes a pipe round trip instead
+coordinates. The default applies the one **offload rule**
+(:func:`run_inline_or_offload`): a call whose ``rows x
+macs_per_row`` (the multiply-adds the model declares per query row)
+stays within :data:`INLINE_MAX_MACS` runs inline on the event loop,
+because it finishes sooner than a thread hop returns; anything larger,
+or a model that declares no cost (``macs_per_row`` is ``None``), runs
+on a single inference thread (``run_in_executor``), so the loop keeps
+accepting and coalescing new arrivals while the batch computes — that
+overlap is where micro-batching throughput comes from. The thread is
+started by the first offloaded call, and it serializes
+sequential-framework requests without extra locking. The fleet
+front-end routes by the same rule. A fleet served by worker processes
+passes a pipe round trip instead
 (:meth:`~repro.fleet.worker.WorkerPool.predict`); coalescing, stats,
 metrics and trace spans are the same code either way.
 """
@@ -44,7 +51,7 @@ from __future__ import annotations
 import asyncio
 import time
 from collections.abc import Awaitable, Callable
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -56,6 +63,40 @@ from ..obs.trace import Trace
 
 #: ``compute(rows)`` -> awaitable of the ``(n, 2)`` coordinates.
 Compute = Callable[[np.ndarray], Awaitable[np.ndarray]]
+
+#: Largest call (rows x multiply-adds per row) run inline on the event
+#: loop: 16,384 floor-classifier references at 48 APs. On a 2-vCPU host
+#: a route of 4 rows against the perfbench fleet's 396 x 48 references
+#: took 0.35 ms inline against 0.55 ms through an executor; the bound
+#: (41 such rows, 66 rows of office KNN) keeps a routine inline stall
+#: of the loop under ~0.7 ms. Larger calls pay one executor hop.
+INLINE_MAX_MACS = 16_384 * 48
+
+
+def run_inline_or_offload(
+    fn: Callable[[np.ndarray], object],
+    rows: np.ndarray,
+    macs_per_row: int | None,
+    executor: Callable[[], Executor | None] = lambda: None,
+) -> asyncio.Future:
+    """``fn(rows)`` inline while it is small, on an executor otherwise.
+
+    Inline when ``len(rows) * macs_per_row <= INLINE_MAX_MACS``: the
+    result (or the exception ``fn`` raised) is returned on an
+    already-resolved future, so awaiting it does not yield. Above the
+    bound, or when ``macs_per_row`` is ``None`` (cost unknown), the call
+    runs on ``executor()`` (``None``: the loop's default executor),
+    which is asked for only then.
+    """
+    loop = asyncio.get_running_loop()
+    if macs_per_row is not None and rows.shape[0] * macs_per_row <= INLINE_MAX_MACS:
+        fut = loop.create_future()
+        try:
+            fut.set_result(fn(rows))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+    return loop.run_in_executor(executor(), fn, rows)
 
 
 @dataclass
@@ -120,8 +161,10 @@ class BatchingDispatcher:
         series (the fleet slot; the single-model server uses ``"_"``).
     compute:
         Where coalesced rows are answered. ``None`` runs ``localizer``
-        on this dispatcher's own inference thread; a fleet with worker
-        processes passes the slot's pipe round trip.
+        by the offload rule (:func:`run_inline_or_offload`): inline on
+        the loop when small, else on this dispatcher's own inference
+        thread; a fleet with worker processes passes the slot's pipe
+        round trip.
     """
 
     def __init__(
@@ -153,11 +196,9 @@ class BatchingDispatcher:
         self._flush_handle: asyncio.Handle | None = None
         #: Dispatched computes not yet answered (what ``drain`` awaits).
         self._inflight: set[asyncio.Future] = set()
+        #: The inference thread, started by the first offloaded compute.
         self._executor: ThreadPoolExecutor | None = None
         if compute is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=1, thread_name_prefix="repro-serve-predict"
-            )
             self._predict = (
                 partial(localizer.predict_batched, chunk_size=chunk_size)
                 if self.batched
@@ -264,10 +305,19 @@ class BatchingDispatcher:
     # -- compute -----------------------------------------------------------
 
     def _compute_local(self, rows: np.ndarray) -> asyncio.Future:
-        # A bare executor future, not a Task: the flush path adds its
-        # done-callback directly, so a lone request pays no extra hop.
-        loop = asyncio.get_running_loop()
-        return loop.run_in_executor(self._executor, self._predict, rows)
+        # A bare future, not a Task: the flush path delivers a resolved
+        # one at once and adds its done-callback to an executor one, so
+        # a lone request pays no extra hop.
+        return run_inline_or_offload(
+            self._predict, rows, self.localizer.macs_per_row, self._inference_thread
+        )
+
+    def _inference_thread(self) -> ThreadPoolExecutor:
+        if self._executor is None:
+            self._executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-serve-predict"
+            )
+        return self._executor
 
     def _record(self, n_rows: int, elapsed: float) -> None:
         # Counted only on success, so the /healthz batch counters
@@ -360,6 +410,10 @@ class BatchingDispatcher:
         except Exception as exc:
             self._count_errors(len(batch))
             self._fail(batch, exc)
+            return
+        if job.done():
+            # Computed inline: answer in this tick, not on a callback.
+            self._deliver(batch, job, t_flush)
             return
         self._inflight.add(job)
         job.add_done_callback(

@@ -296,8 +296,17 @@ class ModelStore:
         try:
             with path.open("rb") as fh:
                 payload = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ValueError, IndexError, ImportError):
+        except (AttributeError, ImportError) as exc:
+            # Names a class or module this release no longer has: the
+            # refit that follows is a migration the operator should see.
+            warnings.warn(
+                f"model artifact {path.name} names code this release does "
+                f"not have ({type(exc).__name__}: {exc}); refitting and "
+                "rewriting it",
+                stacklevel=2,
+            )
+            return None
+        except (OSError, pickle.UnpicklingError, EOFError, ValueError, IndexError):
             return None  # corrupt/stale artifact: refit instead
         if not isinstance(payload, dict):
             return None

@@ -3,8 +3,9 @@ executor hop.
 
 Routing a handful of rows (building, then the floor vote) finishes
 faster than a ``run_in_executor`` round trip returns, so
-``FleetDispatcher.localize`` classifies inline while rows x
-floor-classifier reference rows stay within ``ROUTE_INLINE_MAX_WORK``.
+``FleetDispatcher.localize`` classifies inline while rows x the floor
+classifier's multiply-adds per row stay within ``INLINE_MAX_MACS`` (the
+one offload rule, ``run_inline_or_offload``).
 With worker processes computing the slots, a small request then makes
 no executor call at all. Answers are the same on both sides of the
 bound.
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.fleet import FleetDispatcher
-from repro.fleet.frontend import ROUTE_INLINE_MAX_WORK
+from repro.serve.dispatcher import INLINE_MAX_MACS
 
 from .conftest import direct_slot_predictions
 
@@ -65,7 +66,7 @@ def assert_answers_direct(registry, router, scans, coords, decision, building=No
 
 
 def above_bound_rows(router, building=None) -> int:
-    return ROUTE_INLINE_MAX_WORK // router.floor_refs(building) + 1
+    return INLINE_MAX_MACS // router.macs_per_row(building) + 1
 
 
 def test_small_unpinned_batch_makes_no_executor_call(

@@ -188,7 +188,9 @@ class TestBackpressureOverHTTP:
         # Every slot model blocks on a gate, so the first request's rows
         # stay in flight until the 429 has been observed; the overload
         # is then deterministic for the second request. A batch window
-        # cannot hold them: an idle slot dispatches at once.
+        # cannot hold them: an idle slot dispatches at once. A declared
+        # cost of None sends the gated predicts to the inference thread:
+        # small enough to run inline, they would block the event loop.
         gate = threading.Event()
         for slot in fleet_registry.slots():
             localizer = slot.entry.localizer
@@ -199,6 +201,7 @@ class TestBackpressureOverHTTP:
                 return _predict(rows, **kwargs)
 
             monkeypatch.setattr(localizer, "predict_batched", gated)
+            monkeypatch.setattr(type(localizer), "macs_per_row", None)
         dispatcher = FleetDispatcher(fleet_registry, max_pending_rows=8)
         srv = FleetServer(fleet_registry, dispatcher, port=0)
         handle = srv.start_background()

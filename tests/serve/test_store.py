@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,37 @@ class TestDiskPersistence:
         entry = store.get_or_fit("KNN", tiny_suite, seed=0, fast=True)
         assert entry.source == "fitted"
         assert store.loads == 0
+
+    @pytest.mark.parametrize(
+        ("name", "missing"),
+        [
+            (b"KNNLocalizer", b"KNNLocalizeR"),
+            (b"repro.baselines.knn", b"repro.baselines.kNN"),
+        ],
+        ids=["class", "module"],
+    )
+    def test_artifact_naming_missing_code_is_a_warned_miss(
+        self, tiny_suite, tmp_path, name, missing
+    ):
+        # A class or module renamed since the artifact was written makes
+        # unpickling raise AttributeError/ImportError: the refit is a
+        # migration, so it warns once, naming the file and the error.
+        model_dir = tmp_path / "models"
+        ModelStore(model_dir).get_or_fit("KNN", tiny_suite, seed=0, fast=True)
+        (path,) = model_dir.glob("*.pkl")
+        blob = path.read_bytes()
+        assert blob.count(name) == 1
+        path.write_bytes(blob.replace(name, missing))
+        store = ModelStore(model_dir)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entry = store.get_or_fit("KNN", tiny_suite, seed=0, fast=True)
+        assert entry.source == "fitted"
+        assert store.loads == 0
+        assert len(caught) == 1, [str(w.message) for w in caught]
+        message = str(caught[0].message)
+        assert path.name in message
+        assert missing.decode().rsplit(".", 1)[-1] in message
 
     def test_mislabeled_artifact_rejected(self, tiny_suite, tmp_path):
         # A payload whose localizer is not an instance of the registered

@@ -5,7 +5,11 @@ Two legs, each started as its own server process:
 
 * single model — fast-scale KNN on the office suite: ``/healthz`` and
   one ``/localize`` through the public :class:`repro.api.ReproClient`
-  (also asserting the wire ``api_version`` negotiation);
+  (also asserting the wire ``api_version`` negotiation), then one
+  ``/localize_batch`` of ``OFFLOADED_ROWS`` scans, too large to compute
+  inline on the event loop, whose row 0 must equal the inline
+  ``/localize`` answer for the same scan: both sides of the
+  dispatcher's offload rule run;
 * fleet with worker processes — ``--fleet HQ:2 --workers 2``:
   ``/healthz`` must report both workers alive, then one
   ``/localize_batch`` runs the worker-pipe compute path end to end.
@@ -38,6 +42,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.api import API_VERSION, ReproClient  # noqa: E402
 
 STARTUP_TIMEOUT_S = 180.0
+
+#: Office KNN computes up to 66 rows inline; a batch this large is
+#: offloaded to the dispatcher's inference thread.
+OFFLOADED_ROWS = 100
 
 
 STARTUP_STAGES = ("generate_s", "load_s", "start_s")
@@ -101,11 +109,23 @@ def check_single(client: ReproClient) -> None:
     print(f"healthz ok: {health['framework']} on {health['suite']} "
           f"(api v{health['api_version']})")
 
-    scan = [-60.0] * health["n_aps"]
-    result = client.localize(scan)
+    n_aps = health["n_aps"]
+    scans = [
+        [-40.0 - (7 * i + 13 * j) % 60 for j in range(n_aps)]
+        for i in range(OFFLOADED_ROWS)
+    ]
+    result = client.localize(scans[0])
     assert result.location.shape == (2,), result
     assert result.raw.get("api_version") == API_VERSION, result.raw
     print(f"localize ok: {result.location.tolist()}")
+
+    batch = client.localize_batch(scans)
+    assert batch.locations.shape == (OFFLOADED_ROWS, 2), batch
+    assert batch.locations[0].tolist() == result.location.tolist(), (
+        batch.locations[0], result.location,
+    )
+    print(f"localize_batch ok: {OFFLOADED_ROWS} rows offloaded, "
+          "row 0 equals the inline answer")
 
 
 def worker_pids(client: ReproClient) -> set[int]:
