@@ -129,28 +129,25 @@ def _capture_epoch(
     *,
     jitter: float,
 ) -> FingerprintDataset:
-    """Capture ``fpr`` fingerprints at every RP at one epoch."""
+    """Capture ``fpr`` fingerprints at every RP at one epoch.
+
+    The epoch's normals are one block, laid out RP by RP and scan by
+    scan in :meth:`RadioEnvironment.survey_draws` order, so each scan
+    draws what a scan-at-a-time capture would.
+    """
     fp = env.floorplan
     n_rp = fp.n_reference_points
     rows = n_rp * fpr
-    rssi = np.empty((rows, env.n_aps), dtype=np.float64)
-    rp_idx = np.empty(rows, dtype=np.int64)
-    locs = np.empty((rows, 2), dtype=np.float64)
-    row = 0
-    for rp in range(n_rp):
-        for _ in range(fpr):
-            # Scans within one visit are ~5 s apart (paper: 6 scans in 30 s).
-            t = SimTime(time.hours + row % fpr * (5.0 / 3600.0))
-            rssi[row] = env.scan_at_rp(
-                rp, t, rng, epoch=epoch, position_jitter_m=jitter
-            )
-            rp_idx[row] = rp
-            locs[row] = fp.reference_points[rp]
-            row += 1
+    # Scans within one visit are ~5 s apart (paper: 6 scans in 30 s).
+    times = [SimTime(time.hours + k * (5.0 / 3600.0)) for k in range(fpr)]
+    width = env.survey_draws(jitter)
+    z = rng.standard_normal(rows * width).reshape(n_rp, fpr, width)
+    rssi = env.survey(range(n_rp), times, z, epoch=epoch, position_jitter_m=jitter)
+    rp_idx = np.repeat(np.arange(n_rp, dtype=np.int64), fpr)
     return FingerprintDataset(
-        rssi=rssi,
+        rssi=rssi.reshape(rows, env.n_aps),
         rp_indices=rp_idx,
-        locations=locs,
+        locations=fp.reference_points[rp_idx],
         times_hours=np.full(rows, time.hours),
         epochs=np.full(rows, epoch, dtype=np.int64),
     )

@@ -17,6 +17,7 @@ import numpy as np
 from ..datasets.fingerprint import FingerprintDataset, LongitudinalSuite
 from ..datasets.generators import build_environment
 from ..radio.access_point import NO_SIGNAL_DBM
+from ..radio.device import scaled_normals
 from ..radio.ephemerality import uji_like_schedule
 from ..radio.sampler import RadioEnvironment
 from ..radio.time import SimTime, monthly_times
@@ -56,37 +57,8 @@ def _leak_offsets(
     return out
 
 
-def _capture_row(
-    envs: list[RadioEnvironment],
-    floor: int,
-    rp_local: int,
-    time: SimTime,
-    epoch: int,
-    leaks: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One global scan: own-floor scan + attenuated other-floor signals."""
-    aps_per_floor = envs[0].n_aps
-    row = np.full(len(envs) * aps_per_floor, NO_SIGNAL_DBM)
-    location = envs[floor].floorplan.reference_points[rp_local]
-    for src, env in enumerate(envs):
-        lo = src * aps_per_floor
-        if src == floor:
-            row[lo : lo + aps_per_floor] = env.scan_at_rp(
-                rp_local, time, rng, epoch=epoch, position_jitter_m=0.15
-            )
-            continue
-        noise_std = env.scan_noise_std_db(time)
-        means = env.mean_rssi_vector(location, time, epoch=epoch)
-        for ap, mean in enumerate(means.tolist()):
-            if mean <= NO_SIGNAL_DBM:
-                continue
-            attenuated = mean - leaks[src, ap, floor]
-            measured = env.device.measure(
-                attenuated + rng.normal(0.0, noise_std), rng
-            )
-            row[lo + ap] = measured
-    return row
+#: Surveyor position jitter on the listener's own floor (meters).
+JITTER_M = 0.15
 
 
 def _capture_epoch(
@@ -97,35 +69,82 @@ def _capture_epoch(
     leaks: np.ndarray,
     rng: np.random.Generator,
 ) -> MultiFloorDataset:
-    """``fpr`` fingerprints at every RP of every floor at one epoch."""
-    rows: list[np.ndarray] = []
-    rp_idx: list[int] = []
-    locs: list[np.ndarray] = []
-    floors: list[int] = []
-    rp_offset = 0
+    """``fpr`` fingerprints at every RP of every floor at one epoch.
+
+    A global scan is the own-floor survey scan plus every other floor's
+    APs heard through the slabs: their mean power at the listener's RP,
+    less the leak offset, plus that floor's scan noise, then a device
+    reading. The epoch's normals are one block laid out scan by scan
+    (floor, RP, scan) as a scan-at-a-time capture draws them; within a
+    scan, floor by floor of the building, the own floor takes
+    :meth:`RadioEnvironment.survey_draws` normals and any other floor
+    one noise and (with receiver noise) one device normal per AP whose
+    mean power there is above ``NO_SIGNAL_DBM``.
+    """
+    n_aps = envs[0].n_aps
+    own_width = [env.survey_draws(JITTER_M) for env in envs]
+    per_ap = [2 if env.device.noise_std_db > 0 else 1 for env in envs]
+    # Other floors' means depend on the RP, not on the scan: one per
+    # (listener RP, source floor), which also fixes that floor's draws.
+    means: list[dict[int, np.ndarray]] = []
+    widths: list[np.ndarray] = []
     for floor, env in enumerate(envs):
-        n_rp = env.floorplan.n_reference_points
-        for rp in range(n_rp):
-            for _ in range(fpr):
-                rows.append(
-                    _capture_row(envs, floor, rp, time, epoch, leaks, rng)
-                )
-                rp_idx.append(rp_offset + rp)
-                locs.append(env.floorplan.reference_points[rp])
-                floors.append(floor)
-        rp_offset += n_rp
-    n = len(rows)
+        rps = env.floorplan.reference_points
+        means.append({})
+        widths.append(np.empty((len(rps), len(envs)), dtype=np.int64))
+        for src, src_env in enumerate(envs):
+            if src == floor:
+                widths[floor][:, src] = own_width[src]
+                continue
+            mean = np.array([src_env.mean_rssi_vector(p, time, epoch=epoch) for p in rps])
+            means[floor][src] = mean
+            widths[floor][:, src] = (mean > NO_SIGNAL_DBM).sum(axis=1) * per_ap[src]
+    row_widths = np.concatenate([np.repeat(width.sum(axis=1), fpr) for width in widths])
+    z = rng.standard_normal(int(row_widths.sum()))
+    row_starts = np.cumsum(row_widths) - row_widths
+
+    rssi, rp_idx, locs, floors = [], [], [], []
+    rp_offset = first_row = 0
+    for floor, env in enumerate(envs):
+        rps = env.floorplan.reference_points
+        rp_of_row = np.repeat(np.arange(len(rps)), fpr)
+        rows = len(rp_of_row)
+        # Where each (row, source floor) segment starts in ``z``.
+        seg = (np.cumsum(widths[floor], axis=1) - widths[floor])[rp_of_row]
+        seg += row_starts[first_row : first_row + rows, None]
+        block = np.full((rows, len(envs) * n_aps), NO_SIGNAL_DBM)
+        for src, src_env in enumerate(envs):
+            cols = block[:, src * n_aps : (src + 1) * n_aps]
+            if src == floor:
+                own_z = z[seg[:, src, None] + np.arange(own_width[src])]
+                cols[:] = env.survey(
+                    range(len(rps)),
+                    [time] * fpr,
+                    own_z.reshape(len(rps), fpr, -1),
+                    epoch=epoch,
+                    position_jitter_m=JITTER_M,
+                ).reshape(rows, n_aps)
+                continue
+            heard = (means[floor][src] > NO_SIGNAL_DBM)[rp_of_row]
+            at = np.where(heard, seg[:, src, None] + (heard.cumsum(axis=1) - 1) * per_ap[src], 0)
+            true_power = (means[floor][src] - leaks[src, :, floor])[rp_of_row]
+            true_power += scaled_normals(src_env.scan_noise_std_db(time), z[at])
+            device_z = z[at + 1] if per_ap[src] == 2 else None
+            cols[heard] = src_env.device.readings(true_power, device_z)[heard]
+        rssi.append(block)
+        rp_idx.append(rp_offset + rp_of_row)
+        locs.append(rps[rp_of_row])
+        floors.append(np.full(rows, floor, dtype=np.int64))
+        rp_offset += len(rps)
+        first_row += rows
     fingerprints = FingerprintDataset(
-        rssi=np.vstack(rows),
-        rp_indices=np.asarray(rp_idx, dtype=np.int64),
+        rssi=np.vstack(rssi),
+        rp_indices=np.concatenate(rp_idx),
         locations=np.vstack(locs),
-        times_hours=np.full(n, time.hours),
-        epochs=np.full(n, epoch, dtype=np.int64),
+        times_hours=np.full(first_row, time.hours),
+        epochs=np.full(first_row, epoch, dtype=np.int64),
     )
-    return MultiFloorDataset(
-        fingerprints=fingerprints,
-        floor_indices=np.asarray(floors, dtype=np.int64),
-    )
+    return MultiFloorDataset(fingerprints=fingerprints, floor_indices=np.concatenate(floors))
 
 
 def floor_suite(suite: MultiFloorSuite, floor: int) -> LongitudinalSuite:

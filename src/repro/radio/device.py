@@ -61,25 +61,28 @@ class DeviceProfile:
         detection threshold after noise — the paper's convention for
         unobserved APs (Sec. IV.A).
         """
-        anchored = -70.0 + (true_rssi_dbm + 70.0) * self.gain_slope
-        reading = anchored + self.rssi_offset_db
-        if self.noise_std_db > 0:
-            reading += rng.normal(0.0, self.noise_std_db)
-        if reading < self.detection_threshold_dbm:
-            return NO_SIGNAL_DBM
-        if self.quantization_db > 0:
-            reading = round(reading / self.quantization_db) * self.quantization_db
-        return float(np.clip(reading, NO_SIGNAL_DBM, 0.0))
+        return float(self.measure_array(np.array([true_rssi_dbm]), rng)[0])
 
     def measure_array(
         self, true_rssi_dbm: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """Vectorized :meth:`measure` over an array of true powers."""
         true = np.asarray(true_rssi_dbm, dtype=np.float64)
-        anchored = -70.0 + (true + 70.0) * self.gain_slope
+        z = rng.standard_normal(true.shape) if self.noise_std_db > 0 else None
+        return self.readings(true, z)
+
+    def readings(self, true_rssi_dbm: np.ndarray, z: np.ndarray | None) -> np.ndarray:
+        """Reported RSSI for true powers, receiver noise from normals ``z``.
+
+        ``z`` holds one standard normal per reading (``None`` when the
+        profile has no receiver noise); every capture path draws its
+        normals in its own order and hands them here, so the device
+        arithmetic exists once.
+        """
+        anchored = -70.0 + (np.asarray(true_rssi_dbm, dtype=np.float64) + 70.0) * self.gain_slope
         reading = anchored + self.rssi_offset_db
         if self.noise_std_db > 0:
-            reading = reading + rng.normal(0.0, self.noise_std_db, size=reading.shape)
+            reading += scaled_normals(self.noise_std_db, z)
         if self.quantization_db > 0:
             quantized = np.round(reading / self.quantization_db) * self.quantization_db
         else:
@@ -87,6 +90,16 @@ class DeviceProfile:
         out = np.clip(quantized, NO_SIGNAL_DBM, 0.0)
         out[reading < self.detection_threshold_dbm] = NO_SIGNAL_DBM
         return out
+
+
+def scaled_normals(scale: float, z: np.ndarray) -> np.ndarray:
+    """``Generator.normal(0.0, scale)`` draws from standard normals ``z``.
+
+    NumPy computes ``loc + scale * z`` per draw, so one
+    ``standard_normal`` block scaled here equals, byte for byte, the
+    same normals drawn one ``normal`` call at a time.
+    """
+    return 0.0 + scale * z
 
 
 #: A couple of ready-made profiles for heterogeneity experiments.

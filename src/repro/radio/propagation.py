@@ -118,9 +118,14 @@ class MultiWallPropagation:
         round like the scalar calls, and these values are pinned.
         """
         srcs = as_points(srcs)
+        return self.path_loss_db(srcs, dst) + self.wall_loss_db(srcs, dst)
+
+    def path_loss_db(
+        self, srcs: np.ndarray, dst: "tuple[float, float] | np.ndarray"
+    ) -> np.ndarray:
+        """The log-distance part of :meth:`link_loss_db`, one scalar call per link."""
         dst = as_point(dst)
-        path = np.array([self.path_loss.loss_db(euclidean(src, dst)) for src in srcs])
-        return path + self.wall_loss_db(srcs, dst)
+        return np.array([self.path_loss.loss_db(euclidean(src, dst)) for src in as_points(srcs)])
 
     def mean_rssi_dbm(
         self,

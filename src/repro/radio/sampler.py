@@ -17,7 +17,7 @@ import numpy as np
 
 from ..geometry.floorplan import Floorplan
 from .access_point import NO_SIGNAL_DBM, AccessPoint
-from .device import DeviceProfile
+from .device import DeviceProfile, scaled_normals
 from .ephemerality import EphemeralitySchedule
 from .propagation import MultiWallPropagation
 from .seeding import stable_seed
@@ -50,11 +50,12 @@ class RadioEnvironment:
     added in quadrature.
 
     The deterministic part of the signal chain is evaluated for all APs
-    at once (:meth:`mean_rssi_vector`); only the per-scan noise draws
-    run per AP where their order is part of the output. Terms that
-    depend on geometry alone (walls, link loss, activity sensitivity)
-    are cached per RP location and generation set, never per arbitrary
-    point, so walks do not grow any cache.
+    at once (:meth:`mean_rssi_vector`), and :meth:`survey` builds a
+    whole epoch of RP scans as arrays from standard normals laid out in
+    scan-at-a-time draw order. Terms that depend on geometry alone
+    (walls, link loss, activity sensitivity) are cached per RP location
+    and generation set, never per arbitrary point, so walks do not grow
+    any cache.
     """
 
     floorplan: Floorplan
@@ -228,7 +229,8 @@ class RadioEnvironment:
         loss = self._cached(
             self._link_loss,
             None if key is None else (key, aps.key),
-            lambda: self.propagation.link_loss_db(aps.locations, point),
+            lambda: self.propagation.path_loss_db(aps.locations, point)
+            + self._wall_db(aps, point, key),
         )
         rssi = aps.tx_power_dbm - loss
         rssi += self._shadow_db(aps, point, time)
@@ -287,14 +289,102 @@ class RadioEnvironment:
         Gaussian-noise input layer is designed to absorb. Noise is drawn
         AP by AP (fading, then the device reading), skipping removed APs.
         """
-        fading_sigma = self._fading_std_db(time)
-        out = np.full(self.n_aps, NO_SIGNAL_DBM, dtype=np.float64)
         means = self.mean_rssi_vector(location, time, epoch=epoch)
-        for ap_id, mean in enumerate(means.tolist()):
-            if mean <= NO_SIGNAL_DBM:
-                continue
-            true_power = mean + rng.normal(0.0, fading_sigma)
-            out[ap_id] = self.device.measure(true_power, rng)
+        heard = means > NO_SIGNAL_DBM
+        per_ap = 2 if self.device.noise_std_db > 0 else 1
+        z = rng.standard_normal((int(heard.sum()), per_ap))
+        true_power = means[heard] + scaled_normals(self._fading_std_db(time), z[:, 0])
+        out = np.full(self.n_aps, NO_SIGNAL_DBM, dtype=np.float64)
+        out[heard] = self.device.readings(true_power, z[:, 1] if per_ap == 2 else None)
+        return out
+
+    def survey_draws(self, position_jitter_m: float) -> int:
+        """Standard normals one survey scan consumes.
+
+        In draw order: 2 for the position jitter (when
+        ``position_jitter_m > 0``), ``n_aps`` for fading, and ``n_aps``
+        for the device reading (when the device has receiver noise).
+        """
+        jitter = 2 if position_jitter_m > 0 else 0
+        device = self.n_aps if self.device.noise_std_db > 0 else 0
+        return jitter + self.n_aps + device
+
+    def survey(
+        self,
+        rp_indices: Sequence[int],
+        times: Sequence[SimTime],
+        z: np.ndarray,
+        *,
+        epoch: int | None = None,
+        position_jitter_m: float = 0.15,
+    ) -> np.ndarray:
+        """Survey scans at RPs ``rp_indices`` at each of ``times``.
+
+        Returns ``(len(rp_indices), len(times), n_aps)`` RSSI. ``z``
+        holds the scans' standard normals, ``(len(rp_indices),
+        len(times), survey_draws(position_jitter_m))``, each scan's laid
+        out in :meth:`survey_draws` order. Surveyors do not stand on the
+        exact same square centimetre twice, so the jitter wiggles the
+        path-loss distance (walls and shadowing use the nominal RP
+        location — a sub-meter approximation that keeps those terms
+        cacheable).
+
+        Site terms (walls, activity sensitivity, base and furniture
+        shadow) are computed once per RP, time terms once per distinct
+        time; each time's scans are then one array pass.
+        """
+        aps = self._epoch_aps(epoch)
+        n = self.n_aps
+        nominal = self.floorplan.reference_points[np.asarray(rp_indices, dtype=np.intp)]
+        weights = [self.temporal.furniture_weight(t) for t in times]
+        walls = np.empty((len(nominal), n))
+        sensitivity = np.empty((len(nominal), n))
+        for i, point in enumerate(nominal):
+            site = self._site(point)
+            walls[i] = self._wall_db(aps, point, site)
+            sensitivity[i] = self._activity_sensitivity(point, site)
+        ap_ids = np.arange(n)
+        layers = aps.generations * 100
+        x, y = nominal[:, 0, None], nominal[:, 1, None]
+        base = self.shadowing.values_db(ap_ids, layers, x, y)
+        furniture = None
+        if max(weights, default=0.0) > 0.0:
+            furniture = self.shadowing.values_db(ap_ids, layers + 1, x, y)
+
+        jitter = 2 if position_jitter_m > 0 else 0
+        device_z = z[..., jitter + n :] if self.device.noise_std_db > 0 else None
+        path_loss = self.propagation.path_loss
+        out = np.empty((len(nominal), len(times), n))
+        time_terms: dict[float, tuple] = {}
+        for k, (time, weight) in enumerate(zip(times, weights)):
+            terms = time_terms.get(time.hours)
+            if terms is None:
+                structure = self.shadowing.blend(base, furniture, weight) - walls
+                terms = time_terms[time.hours] = (
+                    structure,
+                    self.temporal.drift_db_vector(n, time),
+                    self.temporal.activity_attenuation_db(time),
+                    self._fading_std_db(time),
+                )
+            structure, drift, activity, fading_sigma = terms
+            at_x, at_y = x, y
+            if jitter:
+                at_x = x + scaled_normals(position_jitter_m, z[:, k, 0, None])
+                at_y = y + scaled_normals(position_jitter_m, z[:, k, 1, None])
+            dx = aps.locations[:, 0] - at_x
+            dy = aps.locations[:, 1] - at_y
+            dx *= dx
+            dy *= dy
+            dx += dy
+            power = aps.tx_power_dbm - path_loss.loss_db_array(np.sqrt(dx, out=dx))
+            power += structure
+            power += drift
+            power -= sensitivity * activity
+            power += scaled_normals(fading_sigma, z[:, k, jitter : jitter + n])
+            out[:, k] = self.device.readings(
+                power, None if device_z is None else device_z[:, k]
+            )
+        out[..., ~aps.active] = NO_SIGNAL_DBM
         return out
 
     def scan_at_rp(
@@ -306,31 +396,11 @@ class RadioEnvironment:
         epoch: int | None = None,
         position_jitter_m: float = 0.15,
     ) -> np.ndarray:
-        """A scan captured while standing at RP ``rp_index`` (vectorized).
-
-        Surveyors do not stand on the exact same square centimetre twice;
-        ``position_jitter_m`` wiggles the path-loss distance accordingly
-        (walls/shadowing use the nominal RP location — a sub-meter
-        approximation that keeps those terms cacheable).
-        """
-        aps = self._epoch_aps(epoch)
-        nominal = self.floorplan.reference_points[rp_index]
-        site = self._site(nominal)
-        rp_loc = nominal
-        if position_jitter_m > 0:
-            rp_loc = nominal + rng.normal(0.0, position_jitter_m, size=2)
-        diff = aps.locations - rp_loc[None, :]
-        dist = np.sqrt((diff * diff).sum(axis=1))
-        pl = self.propagation.path_loss.loss_db_array(dist)
-        structure = self._shadow_db(aps, nominal, time) - self._wall_db(aps, nominal, site)
-        mean = aps.tx_power_dbm - pl + structure + self.temporal.drift_db_vector(self.n_aps, time)
-        mean -= self._activity_sensitivity(nominal, site) * (
-            self.temporal.activity_attenuation_db(time)
-        )
-        true_power = mean + rng.normal(0.0, self._fading_std_db(time), size=self.n_aps)
-        out = self.device.measure_array(true_power, rng)
-        out[~aps.active] = NO_SIGNAL_DBM
-        return out
+        """One :meth:`survey` scan standing at RP ``rp_index``."""
+        z = rng.standard_normal((1, 1, self.survey_draws(position_jitter_m)))
+        return self.survey(
+            [rp_index], [time], z, epoch=epoch, position_jitter_m=position_jitter_m
+        )[0, 0]
 
     def visible_ap_count(self, time: SimTime, *, epoch: int | None = None) -> int:
         """APs with detectable mean power at any RP — Fig. 3's annotation."""

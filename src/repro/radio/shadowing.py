@@ -70,9 +70,10 @@ def _bilinear(lattice: np.ndarray, gx, gy, rows=Ellipsis) -> np.ndarray:
     """Bilinear interpolation of ``lattice[rows]`` at grid coordinates.
 
     ``lattice`` is one ``(ny, nx)`` lattice sampled at arrays of points,
-    or a ``(n_fields, ny, nx)`` stack sampled at one point for the
-    fields ``rows``. Cell indices are clipped to the lattice, so points
-    outside the domain extrapolate from the border cell.
+    or a ``(n_fields, ny, nx)`` stack sampled for the fields ``rows`` at
+    one point (or at ``(n_points, 1)`` coordinates, one row per point).
+    Cell indices are clipped to the lattice, so points outside the
+    domain extrapolate from the border cell.
     """
     ny, nx = lattice.shape[-2:]
     # minimum(maximum(...)) is np.clip's arithmetic without its per-call
@@ -144,12 +145,14 @@ class ShadowingModel:
             self._stack = np.stack(self._lattices)
         return rows
 
-    def values_db(self, ap_ids, layers, x: float, y: float) -> np.ndarray:
+    def values_db(self, ap_ids, layers, x, y) -> np.ndarray:
         """Field ``(ap_ids[i], layers[i])``'s value at ``(x, y)``, for all i.
 
         Every field shares the domain, so the cell and the bilinear
         weights are computed once and each corner is one gather from
         the lattice stack; entry i equals that field's ``value_db``.
+        ``x`` and ``y`` may also be ``(n_points, 1)`` arrays, giving
+        ``(n_points, len(ap_ids))`` values, each row as for its point.
         """
         ap_ids = np.asarray(ap_ids, dtype=np.int64)
         layers = np.asarray(layers, dtype=np.int64)
@@ -174,14 +177,24 @@ class ShadowingModel:
         the furniture layer: total variance is kept at sigma^2 by mixing
         ``sqrt(1-w^2) * base + w * furniture``.
         """
+        base = np.asarray(generations, dtype=np.int64) * 100
+        furniture = (
+            self.values_db(ap_ids, base + 1, x, y) if furniture_weight > 0.0 else None
+        )
+        return self.blend(self.values_db(ap_ids, base, x, y), furniture, furniture_weight)
+
+    @staticmethod
+    def blend(base_db: np.ndarray, furniture_db, furniture_weight: float) -> np.ndarray:
+        """``sqrt(1-w^2) * base + w * furniture`` for weight ``w`` in [0, 1].
+
+        ``furniture_db`` may be None when ``w`` is 0: the furniture term
+        is only added for a positive weight.
+        """
         if not 0.0 <= furniture_weight <= 1.0:
             raise ValueError("furniture_weight must be in [0, 1]")
-        base = np.asarray(generations, dtype=np.int64) * 100
-        value = float(np.sqrt(1.0 - furniture_weight**2)) * self.values_db(
-            ap_ids, base, x, y
-        )
+        value = float(np.sqrt(1.0 - furniture_weight**2)) * base_db
         if furniture_weight > 0.0:
-            value += furniture_weight * self.values_db(ap_ids, base + 1, x, y)
+            value += furniture_weight * furniture_db
         return value
 
     def shadow_db(

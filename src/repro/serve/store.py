@@ -22,7 +22,9 @@ it warm; every request after that is pure inference. The
   (:func:`repro.baselines.registry.framework_class`) before they are
   served: a payload whose localizer is not an instance of the registered
   class — a stale pickle from before a refactor, a mislabeled file — is
-  treated as a miss and refit, never served.
+  treated as a miss and refit, never served. Every artifact found on
+  disk but not used warns, naming the file and the reason: a silent
+  miss would turn a millisecond load into a full refit unnoticed.
 
 Pickles execute code on load; point ``model_dir`` only at directories
 you trust (the same caveat as the engine's result cache).
@@ -298,67 +300,70 @@ class ModelStore:
                 payload = pickle.load(fh)
         except (AttributeError, ImportError) as exc:
             # Names a class or module this release no longer has: the
-            # refit that follows is a migration the operator should see.
-            warnings.warn(
-                f"model artifact {path.name} names code this release does "
-                f"not have ({type(exc).__name__}: {exc}); refitting and "
-                "rewriting it",
-                stacklevel=2,
+            # refit that follows is a migration.
+            return _miss(
+                path,
+                f"it names code this release does not have ({type(exc).__name__}: {exc})",
             )
-            return None
-        except (OSError, pickle.UnpicklingError, EOFError, ValueError, IndexError):
-            return None  # corrupt/stale artifact: refit instead
+        except (OSError, pickle.UnpicklingError, EOFError, ValueError, IndexError) as exc:
+            return _miss(path, f"truncated or not a pickle ({type(exc).__name__}: {exc})")
         if not isinstance(payload, dict):
-            return None
+            return _miss(path, f"payload is a {type(payload).__name__}, not a dict")
         if payload.get("schema") != STORE_SCHEMA_VERSION:
-            return None
+            return _miss(
+                path,
+                f"schema {payload.get('schema')!r}, this release reads {STORE_SCHEMA_VERSION}",
+            )
         # The filename already encodes the full key, but a renamed or
         # mislabeled artifact must not slip through: every key field is
         # re-checked against the payload's own record.
-        if (
-            payload.get("framework") != key.framework
-            or payload.get("train_hash") != key.train_hash
-            or payload.get("seed") != key.seed
-            or payload.get("fast") != key.fast
-            or payload.get("index_tag") != key.index_tag
-        ):
-            return None
+        for name in ("framework", "train_hash", "seed", "fast", "index_tag"):
+            if payload.get(name) != getattr(key, name):
+                return _miss(
+                    path,
+                    f"its {name} record {payload.get(name)!r} does not match the key's "
+                    f"{getattr(key, name)!r}",
+                )
         # Version-less artifacts (persisted before the kernel seam, so
         # no ``backend``/``spec`` records) had a one-release grace
-        # window that is now closed: they are a miss — warned about so
-        # the operator knows the refit is a migration, then
+        # window that is now closed: they are a migration miss, then
         # overwritten by a fully-recorded artifact.
         if "backend" not in payload or payload.get("spec") is None:
-            warnings.warn(
-                f"model artifact {path.name} predates the self-describing "
-                "payload format (no backend/spec records); its support "
-                "window is over — refitting and rewriting it in the "
-                "current format",
-                stacklevel=2,
+            return _miss(
+                path,
+                "it predates the self-describing payload format (no backend/spec "
+                "records) and its support window is over",
             )
-            return None
         from ..kernels import backend_changes_results
 
         stored_backend = str(payload["backend"])
         try:
             stored_changes = backend_changes_results(stored_backend)
         except KeyError:
-            return None  # unknown backend record: foreign artifact
+            return _miss(path, f"unknown backend {stored_backend!r}")
         # A *result-changing* backend mismatch is a mislabeled file:
         # the digest would have differed.
         if (
             stored_changes or backend_changes_results(key.backend)
         ) and stored_backend != key.backend:
-            return None
+            return _miss(
+                path, f"backend {stored_backend!r} does not match the key's {key.backend!r}"
+            )
         localizer = payload.get("localizer")
         # Warm-load validation hook: the artifact must be an instance of
         # the class the registry maps this framework name to *today*.
-        if not isinstance(localizer, framework_class(key.framework)):
-            return None
+        expected = framework_class(key.framework)
+        if not isinstance(localizer, expected):
+            return _miss(
+                path,
+                f"localizer is a {type(localizer).__name__}, not a {expected.__name__}",
+            )
         if not getattr(localizer, "_fitted", False):
-            return None
+            return _miss(path, "localizer is not fitted")
         if payload.get("n_aps") != suite.n_aps:
-            return None
+            return _miss(
+                path, f"n_aps {payload.get('n_aps')!r} does not match the suite's {suite.n_aps}"
+            )
         self.loads += 1
         return StoreEntry(
             key=key,
@@ -484,3 +489,15 @@ class ModelStore:
             "disk_loads": self.loads,
             "model_dir": str(self.model_dir) if self.model_dir else None,
         }
+
+
+def _miss(path: Path, reason: str) -> None:
+    """Warn that the artifact at ``path`` cannot be used, and why.
+
+    A miss refits the model — seconds where a load takes milliseconds —
+    so it is never silent.
+    """
+    warnings.warn(
+        f"model artifact {path.name} is unusable: {reason}; refitting and rewriting it",
+        stacklevel=4,
+    )

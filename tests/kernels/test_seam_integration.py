@@ -199,7 +199,8 @@ class TestStorePayloads:
         with path.open("wb") as fh:
             pickle.dump(payload, fh)
         fresh = ModelStore(tmp_path)
-        refit = fresh.get_or_fit("KNN", tiny_suite, fast=True)
+        with pytest.warns(UserWarning, match="backend 'quantized' does not match"):
+            refit = fresh.get_or_fit("KNN", tiny_suite, fast=True)
         assert refit.source == "fitted"
 
     def test_quantized_artifact_roundtrips(self, tiny_suite, tmp_path):

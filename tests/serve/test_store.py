@@ -120,7 +120,8 @@ class TestDiskPersistence:
         for path in model_dir.glob("*.pkl"):
             path.write_bytes(garbage)
         store = ModelStore(model_dir)
-        entry = store.get_or_fit("KNN", tiny_suite, seed=0, fast=True)
+        with pytest.warns(UserWarning, match="truncated or not a pickle"):
+            entry = store.get_or_fit("KNN", tiny_suite, seed=0, fast=True)
         assert entry.source == "fitted"
         assert store.loads == 0
 
@@ -173,7 +174,8 @@ class TestDiskPersistence:
         }
         with (model_dir / f"{key.digest}.pkl").open("wb") as fh:
             pickle.dump(payload, fh)
-        entry = store.get_or_fit("KNN", tiny_suite, seed=0, fast=True)
+        with pytest.warns(UserWarning, match="schema 1"):
+            entry = store.get_or_fit("KNN", tiny_suite, seed=0, fast=True)
         assert entry.source == "fitted"
 
     def test_renamed_artifact_with_wrong_seed_rejected(
@@ -190,7 +192,8 @@ class TestDiskPersistence:
             model_dir / f"{key0.digest}.pkl"
         )
         fresh = ModelStore(model_dir)
-        entry = fresh.get_or_fit("KNN", tiny_suite, seed=0, fast=True)
+        with pytest.warns(UserWarning, match="seed record 1"):
+            entry = fresh.get_or_fit("KNN", tiny_suite, seed=0, fast=True)
         assert entry.source == "fitted"
         assert fresh.loads == 0
 
@@ -212,3 +215,62 @@ def test_store_entry_describe_is_json_ready(tiny_suite, framework):
     entry = store.get_or_fit(framework, tiny_suite, seed=0, fast=True)
     encoded = json.dumps(entry.describe())
     assert framework in encoded
+
+
+def _rewrite(path, **changes):
+    with path.open("rb") as fh:
+        payload = pickle.load(fh)
+    payload.update(changes)
+    with path.open("wb") as fh:
+        pickle.dump(payload, fh)
+
+
+def _truncate(path):
+    blob = path.read_bytes()
+    path.write_bytes(blob[: len(blob) // 2])
+
+
+class TestWarnedMisses:
+    """An artifact found on disk but not used is a warned miss.
+
+    A silent one turns a millisecond load into a full refit nobody sees.
+    """
+
+    @pytest.mark.parametrize(
+        ("spoil", "reason"),
+        [
+            (_truncate, "truncated or not a pickle"),
+            (lambda path: path.write_bytes(b"not a pickle"), "truncated or not a pickle"),
+            (lambda path: _rewrite(path, schema=1), "schema 1, this release reads 2"),
+            (lambda path: _rewrite(path, seed=7), "seed record 7 does not match the key's 0"),
+            (lambda path: _rewrite(path, backend="warp"), "unknown backend 'warp'"),
+            (lambda path: _rewrite(path, localizer=object()), "localizer is a object"),
+            (lambda path: _rewrite(path, n_aps=3), "n_aps 3 does not match"),
+            (lambda path: path.write_bytes(pickle.dumps([1, 2])), "payload is a list"),
+        ],
+        ids=[
+            "truncated", "garbage", "schema", "key-mismatch", "unknown-backend",
+            "wrong-class", "n-aps", "not-a-dict",
+        ],
+    )
+    def test_unusable_artifact_warns_and_refits(self, tiny_suite, tmp_path, spoil, reason):
+        model_dir = tmp_path / "models"
+        ModelStore(model_dir).get_or_fit("KNN", tiny_suite, seed=0, fast=True)
+        (path,) = model_dir.glob("*.pkl")
+        spoil(path)
+        store = ModelStore(model_dir)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            entry = store.get_or_fit("KNN", tiny_suite, seed=0, fast=True)
+        assert entry.source == "fitted"
+        assert store.loads == 0
+        assert len(caught) == 1, [str(w.message) for w in caught]
+        message = str(caught[0].message)
+        assert path.name in message
+        assert reason in message
+        # The refit rewrote the artifact: the next start loads it quietly.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ModelStore(model_dir).get_or_fit(
+                "KNN", tiny_suite, seed=0, fast=True
+            ).source == "disk"
