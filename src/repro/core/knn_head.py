@@ -145,18 +145,8 @@ class KNNHead:
         return self
 
     def _require_fitted(self) -> None:
-        if getattr(self, "_packed", None) is not None:
-            return
-        embeddings = getattr(self, "_embeddings", None)
-        if embeddings is not None:
-            # Pre-seam artifact (a warm-loaded pickle fitted before the
-            # kernel backends existed): adopt the bit-identical
-            # reference backend lazily from its stored float64 matrix.
-            self._backend = resolve_backend("reference")
-            self.backend_name = self._backend.name
-            self._packed = self._backend.pack(embeddings)
-            return
-        raise RuntimeError("KNNHead used before fit()")
+        if self._packed is None:
+            raise RuntimeError("KNNHead used before fit()")
 
     @property
     def rp_labels(self) -> np.ndarray:
@@ -177,8 +167,7 @@ class KNNHead:
     @property
     def packed_nbytes(self) -> int | None:
         """Resident bytes of the packed reference set (None pre-fit)."""
-        packed = getattr(self, "_packed", None)
-        return packed.nbytes if packed is not None else None
+        return self._packed.nbytes if self._packed is not None else None
 
     # -- distance blocks ----------------------------------------------------
 

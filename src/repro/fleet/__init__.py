@@ -17,11 +17,11 @@ then floor classifier, then the slot's model:
   front-end: per-slot micro-batching behind one asyncio loop with
   bounded admission (429 on overload), computing in-process or in
   worker processes.
-* :class:`WorkerPool` (``worker.py``) + :class:`SlotPlacement`
-  (``placement.py``) — processes, placement and IPC for multi-process
-  fleets: N worker processes own slots by consistent hash and map
-  every model array zero-copy from one shared-memory segment per slot
-  (``repro serve --workers N``).
+* :class:`WorkerPool` (``worker.py``) — processes, placement and IPC
+  for multi-process fleets: N worker processes own slots round-robin
+  (fixed for the pool's life) and map every model array zero-copy
+  from one shared-memory segment per slot (``repro serve --workers
+  N``).
 * :func:`run_fleet_experiment` (``experiment.py``) — routing accuracy
   and routed-vs-oracle error across the longitudinal epochs.
 * :class:`FleetServer` (``server.py``) — the HTTP/JSON front-end
@@ -42,7 +42,6 @@ from .frontend import (
     FleetStats,
     SlotCounters,
 )
-from .placement import PlacementMove, SlotPlacement
 from .registry import BuildingDeployment, FleetRegistry, FleetSlot, SlotId
 from .router import RoutingDecision, ScanRouter
 from .server import FleetServer
@@ -60,12 +59,10 @@ __all__ = [
     "FleetServer",
     "FleetSlot",
     "FleetStats",
-    "PlacementMove",
     "RoutingDecision",
     "ScanRouter",
     "SlotCounters",
     "SlotId",
-    "SlotPlacement",
     "WorkerCrashedError",
     "WorkerPool",
     "fleet_epoch_traffic",

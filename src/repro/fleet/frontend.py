@@ -14,7 +14,8 @@ execution modes differ only in the dispatchers' compute callable:
   dispatcher's own inference thread.
 * ``workers>=1`` — each flush is one pipe round trip
   (:meth:`~repro.fleet.worker.WorkerPool.predict`) to the worker
-  process owning the slot by consistent hash; every model array is
+  process owning the slot (slots placed round-robin when the pool
+  starts, fixed for its life); every model array is
   mapped read-only from the slot's shared-memory segment, so a replica
   costs only its small private pickle blob.
 
@@ -429,24 +430,6 @@ class FleetDispatcher:
                 # dropped. Any other RuntimeError propagates.
                 if self._dispatchers.get(label) is dispatcher:
                     raise
-
-    # -- topology ----------------------------------------------------------
-
-    async def set_workers(self, workers: int) -> dict:
-        """Rebalance the worker pool to a new process count.
-
-        Only meaningful in multi-process mode; in-process fleets have
-        no topology to change. In-flight batches complete on their old
-        owners, moved slots rehome warm, zero requests drop
-        (:meth:`~repro.fleet.worker.WorkerPool.resize`).
-        """
-        if self._pool is None:
-            raise RuntimeError(
-                "set_workers requires a multi-process fleet (workers >= 1)"
-            )
-        summary = await self._pool.resize(workers)
-        self.workers = int(workers)
-        return summary
 
     async def swap_slot(self, building: str, floor: int, *, entry, suite) -> dict:
         """Atomically hot-swap one slot to a new model version.

@@ -21,14 +21,13 @@ module is the worker half:
   (:mod:`repro.mp` / ``$REPRO_MP_START``) — every message is picklable
   and nothing depends on inherited parent state.
 * :class:`WorkerPool` is the parent-side handle: process lifecycle,
-  consistent-hash slot placement
-  (:class:`~repro.fleet.placement.SlotPlacement`), the pipe round trip
-  (:meth:`WorkerPool.predict`), graceful rebalance on topology change,
-  hot-swap, and crash-restart — a dead worker is respawned warm from
-  the retained payloads (the shared segments outlive the worker), its
-  in-flight batches retried once, then failed with the *retryable*
-  :class:`WorkerCrashedError` (HTTP 503), never hung. Coalescing is not
-  done here: each slot's
+  a fixed round-robin slot placement (slot *i* on worker *i* mod N for
+  the pool's whole life), the pipe round trip
+  (:meth:`WorkerPool.predict`), hot-swap, and crash-restart — a dead
+  worker is respawned warm from the retained payloads (the shared
+  segments outlive the worker), its in-flight batches retried once,
+  then failed with the *retryable* :class:`WorkerCrashedError` (HTTP
+  503), never hung. Coalescing is not done here: each slot's
   :class:`~repro.serve.dispatcher.BatchingDispatcher` batches requests
   and sends every flush through :meth:`WorkerPool.predict`. The running
   event loop alone owns each pipe end: it writes requests without
@@ -63,7 +62,6 @@ from ..baselines.base import BatchedLocalizer, Localizer
 from ..kernels import AttachedRegion, SharedArtifactRegion, SharedRegionHandle
 from ..mp import mp_context
 from ..obs.metrics import MetricsRegistry, MetricsSnapshot
-from .placement import SlotPlacement, VNODES
 from .registry import FleetRegistry, FleetSlot
 
 #: How long to wait for a worker's ready handshake before declaring the
@@ -166,15 +164,22 @@ def worker_main(
     * worker → parent on start: ``("ready", pid, [labels])`` or
       ``("fatal", repr)``.
     * parent → worker: ``("req", req_id, op, args)`` where op is
-      ``predict`` (label, scans), ``adopt`` ([payloads]), ``drop``
-      ([labels]), ``metrics`` (None) or ``stop`` (None).
+      ``predict`` (label, scans), ``adopt`` ([payloads]), ``metrics``
+      (None) or ``stop`` (None).
     * worker → parent: ``("res", req_id, ok, value)`` — ``value`` is
       the result when ok, an error string when not.
 
     The loop is single-threaded: requests are answered strictly in
-    arrival order, which is what makes rebalance drains race-free (a
-    ``drop`` sent after the last ``predict`` for a slot is necessarily
-    processed after it — FIFO pipes, zero dropped requests).
+    arrival order, which is what makes hot-swap race-free (every
+    ``predict`` sent before an ``adopt`` is answered by the old model —
+    FIFO pipes, zero dropped requests).
+
+    A slot's model arrays are views into its shared mapping, so only
+    ``slots`` may hold a model: :func:`predict` keeps its reference in
+    its own frame, and a mapping closes only after its model is
+    dropped. Closing under a live view would leave the mapping to the
+    garbage collector, whose ``SharedMemory.__del__`` then prints a
+    ``BufferError`` at exit.
 
     Each worker keeps its own cumulative
     :class:`~repro.obs.MetricsRegistry` (per-slot predict latency,
@@ -187,9 +192,9 @@ def worker_main(
     """
     slots: dict[str, tuple[Localizer, SlotPayload]] = {}
     # Each slot's attached shared-memory mapping: re-adopting a slot (a
-    # hot-swap) or dropping it closes its stale mapping right away, so
-    # long-lived workers release old model versions instead of holding
-    # every mapping until exit.
+    # hot-swap) closes its stale mapping right away, so long-lived
+    # workers release old model versions instead of holding every
+    # mapping until exit.
     regions: dict[str, AttachedRegion] = {}
     metrics = MetricsRegistry()
     wid = str(worker_id)
@@ -209,22 +214,32 @@ def worker_main(
         ("slot", "worker"),
     )
 
-    def release(stale_slot, stale_region: AttachedRegion | None) -> None:
-        # The old localizer's arrays are views into the stale mapping;
-        # drop it first so close() finds no exported buffers.
-        del stale_slot
-        if stale_region is not None:
-            stale_region.close()
-
     def adopt(new_payloads: list[SlotPayload]) -> list[str]:
         for payload in new_payloads:
             localizer, attached = rehydrate_slot(payload)
-            stale_slot = slots.pop(payload.label, None)
-            stale_region = regions.pop(payload.label, None)
+            # Rebinding the slot drops the old model, whose arrays are
+            # views into the stale mapping, before that mapping closes.
             slots[payload.label] = (localizer, payload)
+            stale = regions.get(payload.label)
             regions[payload.label] = attached
-            release(stale_slot, stale_region)
+            if stale is not None:
+                stale.close()
         return sorted(slots)
+
+    def predict(label: str, scans: np.ndarray) -> np.ndarray:
+        t_start = time.perf_counter()
+        try:
+            localizer, payload = slots[label]
+            if payload.batched:
+                value = localizer.predict_batched(scans, chunk_size=chunk_size)
+            else:
+                value = localizer.predict(scans)
+        except Exception:
+            m_errors.labels(label, wid).inc()
+            raise
+        m_predict_seconds.labels(label, wid).observe(time.perf_counter() - t_start)
+        m_rows.labels(label, wid).inc(scans.shape[0])
+        return np.ascontiguousarray(value)
 
     try:
         adopt(payloads)
@@ -244,30 +259,9 @@ def worker_main(
         _, req_id, op, args = msg
         try:
             if op == "predict":
-                label, scans = args
-                t_start = time.perf_counter()
-                try:
-                    localizer, payload = slots[label]
-                    if payload.batched:
-                        value = localizer.predict_batched(
-                            scans, chunk_size=chunk_size
-                        )
-                    else:
-                        value = localizer.predict(scans)
-                except Exception:
-                    m_errors.labels(label, wid).inc()
-                    raise
-                m_predict_seconds.labels(label, wid).observe(
-                    time.perf_counter() - t_start
-                )
-                m_rows.labels(label, wid).inc(scans.shape[0])
-                value = np.ascontiguousarray(value)
+                value = predict(*args)
             elif op == "adopt":
                 value = adopt(args)
-            elif op == "drop":
-                for label in args:
-                    release(slots.pop(label, None), regions.pop(label, None))
-                value = sorted(slots)
             elif op == "metrics":
                 value = metrics.snapshot()
             elif op == "stop":
@@ -281,8 +275,9 @@ def worker_main(
         if op == "stop":
             break
 
-    # Views into the shared segments die with the localizers; close the
-    # mappings afterwards so /dev/shm refcounts drop promptly.
+    # Views into the shared segments die with the localizers (``slots``
+    # holds the only references); close the mappings afterwards so
+    # /dev/shm refcounts drop promptly.
     slots.clear()
     for region in regions.values():
         region.close()
@@ -365,6 +360,11 @@ class WorkerPool:
     segment per slot, spawns the workers and blocks until all of them
     report ready — the pool never serves from cold workers.
 
+    The topology is fixed for the pool's life: slot *i* of
+    ``registry.slots()`` belongs to worker *i* mod ``workers``, so any
+    N-slot fleet spreads within one slot of even, and a respawned
+    worker takes back exactly its predecessor's slots.
+
     Parameters
     ----------
     registry:
@@ -377,8 +377,6 @@ class WorkerPool:
     start_method:
         Forced multiprocessing start method; ``None`` resolves through
         ``$REPRO_MP_START`` then the platform default (:mod:`repro.mp`).
-    vnodes:
-        Consistent-hash ring density (testing knob).
     """
 
     def __init__(
@@ -388,18 +386,16 @@ class WorkerPool:
         workers: int,
         chunk_size: int | None = None,
         start_method: str | None = None,
-        vnodes: int = VNODES,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.chunk_size = chunk_size
         self._ctx = mp_context(start_method)
-        self._vnodes = int(vnodes)
         #: The published segment behind each slot's *current* payload —
         #: a hot-swap unlinks exactly the replaced slot's old segment.
         self._slot_regions: dict[str, SharedArtifactRegion] = {}
         self._payloads: dict[str, SlotPayload] = {}
-        self._placement = SlotPlacement(workers, vnodes=self._vnodes)
+        self._owner: dict[str, int] = {}
         self._req_ids = itertools.count(1)
         self._inflight: dict[int, _Inflight] = {}
         #: The event loop that owns every worker pipe (see :meth:`_bind`).
@@ -407,20 +403,16 @@ class WorkerPool:
         self._closed = False
         self._workers: dict[int, _Worker] = {}
         try:
-            for slot in registry.slots():
+            for i, slot in enumerate(registry.slots()):
                 label = slot.slot.label
                 self._payloads[label], self._slot_regions[label] = (
                     build_slot_payload(label, slot.entry.localizer)
                 )
-            self._labels = list(self._payloads)
-            self._owner: dict[str, int] = {
-                label: self._placement.worker_for(label)
-                for label in self._labels
-            }
-            for worker_id, labels in self._placement.assign(
-                self._labels
-            ).items():
-                self._workers[worker_id] = self._spawn(worker_id, labels)
+                self._owner[label] = i % workers
+            for worker_id in range(workers):
+                self._workers[worker_id] = self._spawn(
+                    worker_id, self._slots_of(worker_id)
+                )
         except BaseException:
             self.close()
             raise
@@ -429,7 +421,7 @@ class WorkerPool:
 
     def _spawn(self, worker_id: int, labels: list[str]) -> _Worker:
         """Start one worker and block until it reports ready (the one
-        spawn path; resize and respawn run it in an executor)."""
+        spawn path; a respawn runs it in an executor)."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=worker_main,
@@ -507,21 +499,19 @@ class WorkerPool:
         worker.outstanding.clear()
         for entry in stranded:  # close() has already failed its own
             _fail(entry.future, WorkerCrashedError(worker.id, entry.label or "?"))
-        if self._workers.get(worker.id) is worker:  # not retired or closed
+        if self._workers.get(worker.id) is worker:  # not closed
             worker.restarts += 1
             worker.respawn = self._loop.create_task(self._respawn(worker))
 
     async def _respawn(self, dead: _Worker) -> _Worker | None:
-        """Install ``dead``'s replacement (``None`` if no longer wanted),
-        warm from the retained payloads over the still-linked segments."""
+        """Install ``dead``'s replacement (``None`` once the pool has
+        closed), warm from the retained payloads over the still-linked
+        segments."""
         loop = asyncio.get_running_loop()
-        labels = [
-            label for label, owner in self._owner.items() if owner == dead.id
-        ]
         replacement = await loop.run_in_executor(
-            None, self._spawn, dead.id, labels
+            None, self._spawn, dead.id, self._slots_of(dead.id)
         )
-        if self._workers.get(dead.id) is not dead:  # retired or closed
+        if self._workers.get(dead.id) is not dead:  # closed
             replacement.sock.close()  # EOF: the worker exits on its own
             return None
         replacement.restarts = dead.restarts
@@ -603,14 +593,13 @@ class WorkerPool:
         elif not entry.future.done():
             entry.future.set_result(value)
 
-    async def _request(self, op: str, args, *, worker_id: int | None = None,
+    async def _request(self, op: str, args, *, worker_id: int,
                        label: str | None = None, rows: int = 0):
-        """One round trip. A crash strands it: a predict is re-sent once
-        to its slot's current owner, anything else raises."""
+        """One round trip to ``worker_id``. A crash strands it: a
+        predict is re-sent once to that worker's respawn, anything else
+        raises."""
         loop = self._bind()
         for attempt in range(MAX_CRASH_RETRIES + 1):
-            if op == "predict":
-                worker_id = self._owner[label]
             worker = self._workers[worker_id]
             while worker.exited:  # the replacement may die before we send
                 worker = await self._await_respawn(worker, label)
@@ -640,7 +629,8 @@ class WorkerPool:
         if label not in self._payloads:
             raise KeyError(f"unknown slot {label!r}")
         return await self._request(
-            "predict", (label, scans), label=label, rows=int(scans.shape[0])
+            "predict", (label, scans), worker_id=self._owner[label],
+            label=label, rows=int(scans.shape[0]),
         )
 
     async def collect_metrics(self) -> list[MetricsSnapshot]:
@@ -710,87 +700,6 @@ class WorkerPool:
                 )
         old_region.unlink()
 
-    # -- topology change ---------------------------------------------------
-
-    @property
-    def n_workers(self) -> int:
-        return self._placement.n_workers
-
-    async def resize(self, workers: int) -> dict:
-        """Rebalance to a new worker count with zero dropped requests.
-
-        Order of operations is the whole correctness story:
-
-        1. Spawn *new* workers (ready-blocked, warm from the shared
-           store) and ship moving slots to surviving targets via
-           ``adopt`` — the old owners still serve meanwhile.
-        2. Atomically (single loop-thread assignment) switch the
-           ownership table; new submissions route per the new topology.
-        3. ``drop`` moved slots from their old owners. FIFO pipes mean
-           any batch sent before the switch is answered before the
-           drop is processed — in-flight work completes.
-        4. ``stop`` surplus workers: FIFO again, so each answers all
-           its in-flight work first, and the loop reads it before EOF.
-        """
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self._closed:
-            raise RuntimeError("worker pool is closed")
-        loop = self._bind()
-        old = self._placement
-        new = SlotPlacement(workers, vnodes=self._vnodes)
-        moves = old.moves_to(new, self._labels)
-        assign = new.assign(self._labels)
-        spawned = [w for w in assign if w not in self._workers]
-        for worker_id in spawned:
-            worker = await loop.run_in_executor(
-                None, self._spawn, worker_id, assign[worker_id]
-            )
-            self._workers[worker_id] = worker
-            self._attach(worker)
-        adoptions: dict[int, list[str]] = {}
-        for move in moves:
-            if move.target not in spawned:
-                adoptions.setdefault(move.target, []).append(move.slot)
-        await asyncio.gather(
-            *(
-                self._request(
-                    "adopt",
-                    [self._payloads[label] for label in labels],
-                    worker_id=worker_id,
-                )
-                for worker_id, labels in adoptions.items()
-            )
-        )
-        # The switch: one assignment on the loop thread, no await
-        # in between — routing is never observed half-moved.
-        self._placement = new
-        self._owner = {
-            label: new.worker_for(label) for label in self._labels
-        }
-        drops: dict[int, list[str]] = {}
-        for move in moves:
-            drops.setdefault(move.source, []).append(move.slot)
-        retired = [w for w in self._workers if w not in assign]
-        await asyncio.gather(
-            *(
-                self._request("drop", labels, worker_id=worker_id)
-                for worker_id, labels in drops.items()
-                if worker_id in assign  # retirees just drain and stop
-            )
-        )
-        for worker_id in retired:
-            worker = self._workers.pop(worker_id)
-            if not worker.exited:
-                self._send(worker, ("req", next(self._req_ids), "stop", None))
-            await loop.run_in_executor(None, worker.process.join, 10.0)
-        return {
-            "workers": workers,
-            "moved_slots": [move.slot for move in moves],
-            "spawned_workers": spawned,
-            "retired_workers": retired,
-        }
-
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
@@ -829,9 +738,19 @@ class WorkerPool:
 
     # -- introspection -----------------------------------------------------
 
+    @property
+    def n_workers(self) -> int:
+        return len(self._workers)
+
     def owner(self, label: str) -> int:
-        """Id of the worker currently serving ``label``."""
+        """Id of the worker serving ``label``."""
         return self._owner[label]
+
+    def _slots_of(self, worker_id: int) -> list[str]:
+        """The slot labels ``worker_id`` serves, in registry order."""
+        return [
+            label for label, owner in self._owner.items() if owner == worker_id
+        ]
 
     def worker_stats(self) -> list[dict]:
         """Per-worker process facts for ``/models`` and ``/fleet``."""
@@ -843,11 +762,7 @@ class WorkerPool:
                     "worker": worker_id,
                     "pid": worker.pid,
                     "alive": worker.process.is_alive(),
-                    "slots": sorted(
-                        label
-                        for label, owner in self._owner.items()
-                        if owner == worker_id
-                    ),
+                    "slots": sorted(self._slots_of(worker_id)),
                     "jobs": worker.jobs,
                     "rows": worker.rows,
                     "errors": worker.errors,
@@ -861,7 +776,10 @@ class WorkerPool:
         return {
             "mode": "multi-process",
             "start_method": self._ctx.get_start_method(),
-            "placement": self._placement.describe(),
+            "placement": {
+                "strategy": "round-robin",
+                "n_workers": self.n_workers,
+            },
             "shared_segments": len(self._slot_regions),
             "shared_bytes": int(
                 sum(r.nbytes for r in self._slot_regions.values())

@@ -208,10 +208,8 @@ class ShardedRadioMap(CandidateIndex):
         return q
 
     def _centroid_sq_distances(self, queries: np.ndarray) -> np.ndarray:
-        # Pre-seam pickles lack the backend fields: fall back to the
-        # (bit-identical) shared reference kernel they were built on.
-        backend_name = getattr(self, "_probe_backend", None)
-        if backend_name is None or backend_name == "reference":
+        backend_name = self._probe_backend
+        if backend_name == "reference":
             return squared_distances(
                 self._as_queries(queries), self._centroids, self._centroid_sq
             )
@@ -263,7 +261,7 @@ class ShardedRadioMap(CandidateIndex):
             "n_shards": self.n_shards,
             "n_probe": self._n_probe,
             "n_rows": self._n_rows,
-            "probe_backend": getattr(self, "_probe_backend", "reference"),
+            "probe_backend": self._probe_backend,
             "rows_per_shard": {
                 "min": int(sizes.min()),
                 "mean": round(float(sizes.mean()), 1),

@@ -6,12 +6,37 @@ suites (few APs, few CIs) that exercise the same code paths in seconds.
 
 from __future__ import annotations
 
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from repro.datasets import SuiteConfig, generate_path_suite
 from repro.datasets.fingerprint import FingerprintDataset
 from repro.geometry import build_grid_floorplan
+
+
+@pytest.fixture()
+def child_stderr(capfd, monkeypatch):
+    """Read what processes forked after this fixture print on stderr.
+
+    pytest routes unraisable exceptions to its own hook, which a forked
+    child inherits and never reports. In a child, this hook hands them
+    to the interpreter's default, which prints them (``Exception
+    ignored in: ...``) as a process outside pytest would, into
+    ``capfd``; this process keeps pytest's reporting.
+    """
+    parent, pytest_hook = os.getpid(), sys.unraisablehook
+
+    def hook(unraisable):
+        if os.getpid() == parent:
+            pytest_hook(unraisable)
+        else:
+            sys.__unraisablehook__(unraisable)
+
+    monkeypatch.setattr(sys, "unraisablehook", hook)
+    return lambda: capfd.readouterr().err
 
 
 @pytest.fixture(scope="session")

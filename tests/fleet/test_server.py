@@ -200,7 +200,11 @@ class TestBackpressureOverHTTP:
                 assert gate.wait(timeout=30), "gate never released"
                 return _predict(rows, **kwargs)
 
-            monkeypatch.setattr(localizer, "predict_batched", gated)
+            # setitem, not setattr: undo must delete the instance
+            # attribute, not leave behind a bound method that refers to
+            # the model itself (a cycle that outlives the model in any
+            # worker that later unpickles it).
+            monkeypatch.setitem(vars(localizer), "predict_batched", gated)
             monkeypatch.setattr(type(localizer), "macs_per_row", None)
         dispatcher = FleetDispatcher(fleet_registry, max_pending_rows=8)
         srv = FleetServer(fleet_registry, dispatcher, port=0)

@@ -40,14 +40,19 @@ def shm_audit():
     assert set(glob.glob("/dev/shm/repro-shm-*")) & created == set()
 
 
-@pytest.fixture()
-def worker_fleet(tmp_path):
-    registry = make_fleet(tmp_path / "models")
+def open_worker_fleet(request, model_dir):
+    """A two-worker fleet with a live loop, closed when ``request`` ends."""
+    registry = make_fleet(model_dir)
     dispatcher = FleetDispatcher(registry, batch_window_ms=0.5, workers=2)
     live = LiveManager(dispatcher)
-    yield registry, dispatcher, live
-    live.close()
-    dispatcher.close()
+    request.addfinalizer(dispatcher.close)
+    request.addfinalizer(live.close)  # finalizers run last-in, first-out
+    return registry, dispatcher, live
+
+
+@pytest.fixture()
+def worker_fleet(request, tmp_path):
+    return open_worker_fleet(request, tmp_path / "models")
 
 
 def _observations(registry, n=48):
@@ -58,8 +63,14 @@ def _observations(registry, n=48):
 
 @pytest.mark.slow
 class TestWorkersSwap:
-    def test_swap_under_traffic_zero_dropped(self, shm_audit, worker_fleet):
-        registry, dispatcher, live = worker_fleet
+    def test_swap_under_traffic_zero_dropped(
+        self, request, child_stderr, shm_audit, tmp_path
+    ):
+        # Workers fork in the test body: pytest swaps capfd's file
+        # after setup, so a fixture's children would write elsewhere.
+        registry, dispatcher, live = open_worker_fleet(
+            request, tmp_path / "models"
+        )
         obs_scans, obs_xy = _observations(registry)
         probe = obs_scans[:8]
         v1 = direct_answer(registry, "HQ", 0, probe)
@@ -109,6 +120,12 @@ class TestWorkersSwap:
         # The republished payload replaced the old segment 1:1 — the
         # swap may not leak segments as refits accumulate.
         assert len(shm_audit()) == segments_before
+        # Workers drop a model before closing its mapping, on the adopt
+        # and at stop: SharedMemory.__del__ printed no BufferError.
+        live.close()
+        dispatcher.close()
+        err = child_stderr()
+        assert "BufferError" not in err and "Exception ignored" not in err, err
 
     def test_respawn_after_sigkill_lands_on_new_version(
         self, shm_audit, worker_fleet

@@ -10,8 +10,8 @@ Two legs, each started as its own server process:
   inline on the event loop, whose row 0 must equal the inline
   ``/localize`` answer for the same scan: both sides of the
   dispatcher's offload rule run;
-* fleet with worker processes — ``--fleet HQ:2 --workers 2``:
-  ``/healthz`` must report both workers alive, then one
+* fleet with worker processes — ``--fleet HQ:2,LAB:2:kmeans --workers
+  2``: ``/healthz`` must report both workers alive, then one
   ``/localize_batch`` runs the worker-pipe compute path end to end.
   Then one worker pid from ``/fleet`` is SIGKILLed: the next
   ``/localize_batch`` must still answer 200 and ``/healthz`` must
@@ -21,7 +21,9 @@ Two legs, each started as its own server process:
 Each leg waits for the listening line — which must follow one parseable
 ``startup:`` line of non-negative stage seconds — then sends SIGINT and
 verifies the process exits with code 0 after printing ``shutdown
-complete``.
+complete``, and that nothing it (or a worker) printed after SIGINT is a
+``Traceback`` or an ``Exception ignored`` line (e.g. a ``BufferError``
+from a worker closing a shared mapping under a live model view).
 
     python tools/serve_smoke.py
 """
@@ -210,6 +212,11 @@ def run_leg(serve_args: list[str], check) -> None:
             print(f"[server] {line}")
         assert code == 0, f"server exited with {code}"
         assert "shutdown complete" in remainder, "no clean-shutdown marker"
+        noisy = [
+            line for line in remainder.splitlines()
+            if line.startswith(("Traceback", "Exception ignored"))
+        ]
+        assert not noisy, f"errors printed at shutdown: {noisy}"
         left = sorted(pid for pid in pids if pid_running(pid))
         assert not left, f"worker processes left running: {left}"
         print("clean shutdown ok")
@@ -221,7 +228,10 @@ def run_leg(serve_args: list[str], check) -> None:
 def main() -> int:
     run_leg(["office", "--framework", "KNN", "--fast"], check_single)
     run_leg(
-        ["--fleet", "HQ:2", "--workers", "2", "--framework", "KNN", "--fast"],
+        [
+            "--fleet", "HQ:2,LAB:2:kmeans", "--workers", "2",
+            "--framework", "KNN", "--fast",
+        ],
         check_fleet,
     )
     return 0
